@@ -150,10 +150,6 @@ int main(int argc, char** argv) {
 
   BatchOptions base;
   base.threads = flags.threads;
-  // The ε-memo is its own reuse layer (bench_batch_queries measures it);
-  // switch it off here so the table isolates what the answer cache and
-  // ε-sharing add over stateless per-query evaluation.
-  base.cache = false;
   BatchOptions cached_opts = base;
   cached_opts.answer_cache = true;
   cached_opts.share_batch_passes = true;
@@ -162,7 +158,7 @@ int main(int argc, char** argv) {
   QueryEngine engine_on(ProbabilisticInstance(*generated), cached_opts);
 
   // Cache-off reference: run twice, compare against the second (warmed
-  // ε-memo and scratch — the steady-state a server would see).
+  // scratch — the steady-state a server would see).
   Run(engine_off, workload);
   const TimedRun off = Run(engine_off, workload);
   const TimedRun cold = Run(engine_on, workload);

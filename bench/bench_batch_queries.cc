@@ -133,7 +133,6 @@ int MixedMain(const BenchFlags& flags, double mutate_rate,
               const std::vector<BatchQuery>& queries, ObsOutputs& obs) {
   BatchOptions options;
   options.threads = flags.threads;
-  options.cache = flags.cache;
   QueryEngine engine(inst, options);
 
   // Mutation victims: leaf VPFs (℘-only updates — the structure, and so
@@ -182,7 +181,7 @@ int MixedMain(const BenchFlags& flags, double mutate_rate,
   std::uint64_t answers_total = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t b = 0; b < kBatches; ++b) {
-    auto answers = engine.Run(queries, nullptr, obs.session());
+    auto answers = engine.Run(queries, {}, nullptr, obs.session());
     BenchCheck(answers.status(), "run");
     const std::uint64_t head = engine.head_epoch();
     for (const BatchAnswer& ans : *answers) {
@@ -237,7 +236,6 @@ int DeadlineMain(const BenchFlags& flags,
                  const std::vector<BatchQuery>& queries, ObsOutputs& obs) {
   BatchOptions options;
   options.threads = flags.threads;
-  options.cache = flags.cache;
   options.frozen = flags.frozen;
   QueryEngine engine(&inst, options);
 
@@ -312,7 +310,6 @@ int OverloadMain(const BenchFlags& flags, const ProbabilisticInstance& inst,
                  const std::vector<BatchQuery>& queries, ObsOutputs& obs) {
   BatchOptions options;
   options.threads = flags.threads;
-  options.cache = flags.cache;
   options.frozen = flags.frozen;
   options.max_in_flight_batches = 2;
   QueryEngine engine(&inst, options);
@@ -393,9 +390,6 @@ int OverheadGateMain(const BenchFlags& flags,
                      const ProbabilisticInstance& inst, ObsOutputs& obs) {
   BatchOptions options;
   options.threads = flags.threads;
-  // Uncached so every round recomputes the same work — the row-op
-  // equality below would be vacuous against a warm memo cache.
-  options.cache = false;
   options.frozen = flags.frozen;
   QueryEngine engine(&inst, options);
 
@@ -474,9 +468,6 @@ int RecorderGateMain(const BenchFlags& flags,
                      const ProbabilisticInstance& inst, ObsOutputs& obs) {
   BatchOptions off_options;
   off_options.threads = flags.threads;
-  // Uncached for the same reason as the cancellation gate: row-op
-  // equality must compare real work, not memo hits.
-  off_options.cache = false;
   off_options.frozen = flags.frozen;
   off_options.flight_recorder_capacity = 0;
   off_options.slow_query_ns = 0;
@@ -685,16 +676,15 @@ int Main(int argc, char** argv) {
   std::string recorder_dump_json;
   for (std::size_t t : {std::size_t{1}, threads}) {
     BatchOptions options;
-    // The historical comparison mode: stateless generic evaluation (no
-    // ε-memo cache, no frozen kernels), so the published serial-vs-
-    // parallel series stays comparable across versions.
+    // The historical comparison mode: generic evaluation (no frozen
+    // kernels), so the published serial-vs-parallel series stays
+    // comparable across versions.
     options.threads = t;
-    options.cache = false;
     options.frozen = false;
     options.slow_query_ns = flags.slow_ms * 1'000'000;
     QueryEngine engine(&*inst, options);
     BatchStats stats;
-    auto answers = engine.Run(queries, &stats, obs.session());
+    auto answers = engine.Run(queries, {}, &stats, obs.session());
     BenchCheck(answers.status(), "run");
     // Per-query latency quantiles from the per-answer profiles: the
     // mean (wall_s / qps) hides tail latency, which is what the flight

@@ -391,7 +391,6 @@ int main(int argc, char** argv) {
   }
   BatchOptions rec_off;
   rec_off.threads = 1;
-  rec_off.cache = false;
   rec_off.frozen = true;
   rec_off.flight_recorder_capacity = 0;
   rec_off.slow_query_ns = 0;
@@ -401,10 +400,10 @@ int main(int argc, char** argv) {
   rec_on.slow_query_ns = 3'600'000'000'000ull;  // sample, never retain
   QueryEngine rec_on_engine(&inst, rec_on);
   BatchStats rec_off_stats;
-  auto rec_off_answers = rec_off_engine.Run(batch, &rec_off_stats);
+  auto rec_off_answers = rec_off_engine.Run(batch, {}, &rec_off_stats);
   BenchCheck(rec_off_answers.status(), "recorder-off batch");
   BatchStats rec_on_stats;
-  auto rec_on_answers = rec_on_engine.Run(batch, &rec_on_stats);
+  auto rec_on_answers = rec_on_engine.Run(batch, {}, &rec_on_stats);
   BenchCheck(rec_on_answers.status(), "recorder-on batch");
   bool rec_identical = rec_off_answers->size() == rec_on_answers->size();
   for (std::size_t i = 0; rec_identical && i < rec_off_answers->size(); ++i) {
@@ -537,9 +536,8 @@ int main(int argc, char** argv) {
   // kernel time dominates layer pruning (which the frozen fast path in
   // point_queries.cc made cheap). The independent sweep is reported but
   // not relied on for the gate: its bit-identity contract forces each
-  // kernel's sequential multiply chain, so the cross-object batch only
-  // recovers the chain's latency, roughly cancelling its staging cost
-  // at this width.
+  // kernel's sequential multiply chain, which vectorizes only in the
+  // term precompute.
   GeneratorConfig pl_time_config = config;
   pl_time_config.depth = 4;
   pl_time_config.branching = 8;

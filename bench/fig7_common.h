@@ -84,7 +84,6 @@ inline std::string ScratchPath() {
 struct BenchFlags {
   std::size_t threads = 1;      ///< --threads=N (N >= 1)
   std::uint64_t seed = 0;       ///< --seed=S (workload generation)
-  bool cache = true;            ///< --cache=on|off (ε-memo cache)
   std::string json;             ///< --json=PATH (machine-readable output)
   std::size_t max_objects = 0;  ///< --max-objects=N (0 = bench default)
   /// --opf=explicit|independent|per-label (generated OPF representation)
@@ -111,7 +110,7 @@ struct BenchFlags {
 };
 
 /// Parses and REMOVES the shared flags (`--threads=N`, `--seed=S`,
-/// `--cache=on|off`, `--json=PATH`, `--max-objects=N`, `--opf=REP`,
+/// `--json=PATH`, `--max-objects=N`, `--opf=REP`,
 /// `--frozen=on|off`, `--trace=PATH`, `--metrics=PATH`, `--prom=PATH`,
 /// `--slow-ms=MS`, `--recorder-dump=PATH`, `--simd=BACKEND`) from argv, so
 /// google-benchmark binaries can hand the remaining arguments to
@@ -155,7 +154,7 @@ inline BenchFlags ParseBenchFlags(int* argc, char** argv,
         numeric("--seed=", &flags.seed, /*require_pos=*/false) ||
         numeric("--max-objects=", &flags.max_objects, /*require_pos=*/true) ||
         numeric("--slow-ms=", &flags.slow_ms, /*require_pos=*/false) ||
-        onoff("--cache=", &flags.cache) || onoff("--frozen=", &flags.frozen);
+        onoff("--frozen=", &flags.frozen);
     if (!consumed && arg.rfind("--json=", 0) == 0) {
       flags.json = arg.substr(std::strlen("--json="));
       consumed = true;

@@ -26,15 +26,16 @@ namespace pxml {
 /// (and the benchmark's "copy the input instance" phase) cheap on large
 /// interpretations.
 ///
-/// Versioning (for the ε-memo cache, DESIGN.md §8): every mutation that
-/// goes through this API bumps a monotone version counter, and each
+/// Versioning (for incremental refreezing, DESIGN.md §8): every mutation
+/// that goes through this API bumps a monotone version counter, and each
 /// SetOpf/SetVpf additionally stamps the changed object *and all of its
 /// potential ancestors* with the new version (per-object dirty tracking —
-/// O(depth) per update on a tree). A cached per-subtree result recorded
-/// at version V for object o is still valid iff SubtreeChangeVersion(o)
-/// <= V. Structural edits obtained through the non-const weak() accessor
-/// cannot be tracked per object, so they conservatively bump a separate
-/// structure_version() that invalidates whole caches.
+/// O(depth) per update on a tree). A per-subtree result compiled at
+/// version V for object o (a FrozenInstance kernel) is still valid iff
+/// SubtreeChangeVersion(o) <= V. Structural edits obtained through the
+/// non-const weak() accessor cannot be tracked per object, so they
+/// conservatively bump a separate structure_version() that forces a full
+/// Freeze.
 class ProbabilisticInstance {
  public:
   ProbabilisticInstance() = default;
@@ -46,7 +47,7 @@ class ProbabilisticInstance {
 
   /// Non-const structural access: hands out the weak instance for
   /// construction/surgery, so it conservatively marks the structure (and
-  /// thus every cache keyed on it) dirty.
+  /// thus every snapshot compiled from it) dirty.
   WeakInstance& weak() {
     ++version_;
     ++structure_version_;

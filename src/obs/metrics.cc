@@ -79,6 +79,15 @@ double Histogram::Snapshot::Percentile(double q) const {
   if (count == 0) return 0.0;
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
+  // Clamp to the observed range. A snapshot racing the first Record can
+  // see a bucket count before that Record's min/max update (min > max);
+  // it then reports the unclamped bucket estimate.
+  const auto clamp = [this](double v) {
+    if (min > max) return v;
+    if (v < static_cast<double>(min)) return static_cast<double>(min);
+    if (v > static_cast<double>(max)) return static_cast<double>(max);
+    return v;
+  };
   const double target = q * static_cast<double>(count);
   std::uint64_t cum = 0;
   for (std::size_t i = 0; i < kBuckets; ++i) {
@@ -89,13 +98,13 @@ double Histogram::Snapshot::Percentile(double q) const {
       const double lo = static_cast<double>(BucketLowerBound(i));
       const double hi = static_cast<double>(BucketUpperBound(i));
       const double frac = (target - before) / static_cast<double>(buckets[i]);
-      return lo + frac * (hi - lo);
+      return clamp(lo + frac * (hi - lo));
     }
   }
   // Unreachable when the bucket counts sum to `count`; a racing snapshot
   // can leave them short, in which case the top bucket's bound is the
   // honest answer.
-  return static_cast<double>(BucketUpperBound(kBuckets - 1));
+  return clamp(static_cast<double>(BucketUpperBound(kBuckets - 1)));
 }
 
 std::uint64_t MetricsSnapshot::counter(std::string_view name) const {

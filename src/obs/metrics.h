@@ -64,10 +64,10 @@ class Gauge {
 /// nanoseconds). Value v lands in bucket bit_width(v): bucket 0 holds
 /// exactly {0}, bucket i >= 1 holds [2^(i-1), 2^i). 65 buckets cover the
 /// whole uint64 domain, so Record never branches on range and never
-/// allocates. Count/sum/buckets are all relaxed atomics (see Counter for
-/// the contract); a concurrent snapshot may observe a Record's bucket
-/// increment before its sum increment — totals are exact once writers
-/// are quiesced.
+/// allocates. Count/sum/buckets/min/max are all relaxed atomics (see
+/// Counter for the contract; min and max update by relaxed CAS loops); a
+/// concurrent snapshot may observe a Record's bucket increment before its
+/// sum increment — totals are exact once writers are quiesced.
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = 65;
@@ -87,6 +87,14 @@ class Histogram {
   }
 
   void Record(std::uint64_t v) {
+    std::uint64_t lo = min_.load(std::memory_order_relaxed);
+    while (v < lo &&
+           !min_.compare_exchange_weak(lo, v, std::memory_order_relaxed)) {
+    }
+    std::uint64_t hi = max_.load(std::memory_order_relaxed);
+    while (v > hi &&
+           !max_.compare_exchange_weak(hi, v, std::memory_order_relaxed)) {
+    }
     buckets_[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
@@ -104,14 +112,18 @@ class Histogram {
   /// estimators. The estimate interpolates linearly inside the log2
   /// bucket holding the requested rank, so its error is bounded by the
   /// bucket width (a factor-of-2 resolution — the standard trade of
-  /// allocation-free log-bucketed histograms). Exact invariants:
-  /// Percentile is monotone in q, Percentile(0) is the lower bound of
-  /// the first non-empty bucket, Percentile(1) the upper bound of the
-  /// last, and a histogram whose samples all share one bucket estimates
-  /// within that bucket's [lo, hi].
+  /// allocation-free log-bucketed histograms), and is then clamped to the
+  /// observed [min, max], so no quantile ever exceeds the largest sample.
+  /// Exact invariants: Percentile is monotone in q, Percentile(0) is the
+  /// observed minimum, Percentile(1) the observed maximum, and a
+  /// histogram whose samples all share one bucket estimates within that
+  /// bucket's [lo, hi].
   struct Snapshot {
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
+    /// Smallest and largest recorded value (meaningful when count > 0).
+    std::uint64_t min = 0;
+    std::uint64_t max = 0;
     std::array<std::uint64_t, kBuckets> buckets{};
 
     /// The value at quantile q in [0, 1] (0.0 when count == 0).
@@ -132,6 +144,8 @@ class Histogram {
       s.count += s.buckets[i];
     }
     s.sum = sum();
+    s.min = min_.load(std::memory_order_relaxed);
+    s.max = max_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -139,6 +153,8 @@ class Histogram {
   std::atomic<std::uint64_t> buckets_[kBuckets] = {};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
+  std::atomic<std::uint64_t> min_{~std::uint64_t{0}};
+  std::atomic<std::uint64_t> max_{0};
 };
 
 /// A point-in-time copy of every registered metric, exportable as text

@@ -1,10 +1,20 @@
 #include "query/answer_cache.h"
 
+#include <bit>
+
 #include "obs/metrics.h"
 
 namespace pxml {
 
 namespace {
+
+/// splitmix64 finalizer: a fast, well-distributed 64-bit mixer.
+inline std::uint64_t Mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
 
 obs::Counter& AnswerHits() {
   static obs::Counter& c =
@@ -41,6 +51,13 @@ obs::Gauge& AnswerEntries() {
 }
 
 }  // namespace
+
+void Fingerprint::Mix(std::uint64_t v) {
+  lo = Mix64(lo ^ v);
+  hi = Mix64(hi + ((v * 0xff51afd7ed558ccdull) | 1));
+}
+
+void Fingerprint::MixDouble(double v) { Mix(std::bit_cast<std::uint64_t>(v)); }
 
 AnswerCache::AnswerCache(std::size_t budget_bytes) {
   per_shard_budget_ = budget_bytes / kShards;

@@ -11,12 +11,60 @@
 #include <optional>
 #include <unordered_map>
 
-#include "query/epsilon_cache.h"
 #include "util/status.h"
 
 namespace pxml {
 
 class ProbabilisticInstance;
+
+/// A 128-bit mixing fingerprint (two independently seeded 64-bit lanes).
+/// Keys answer-cache entries by the canonical query form: the two lanes
+/// make an accidental collision across the cache's lifetime
+/// astronomically unlikely, so lookups need no stored key verification
+/// beyond the fingerprint itself.
+struct Fingerprint {
+  std::uint64_t lo = 0x9e3779b97f4a7c15ull;
+  std::uint64_t hi = 0xc2b2ae3d27d4eb4full;
+
+  /// Absorbs one 64-bit word into both lanes (order-sensitive).
+  void Mix(std::uint64_t v);
+  /// Absorbs the bit pattern of a double (distinguishes 0.0 from -0.0,
+  /// which is fine: equal bits are all a cache key needs).
+  void MixDouble(double v);
+
+  friend bool operator==(const Fingerprint& a, const Fingerprint& b) {
+    return a.lo == b.lo && a.hi == b.hi;
+  }
+};
+
+struct FingerprintHash {
+  std::size_t operator()(const Fingerprint& f) const {
+    return static_cast<std::size_t>(f.lo ^ (f.hi * 0x9e3779b97f4a7c15ull));
+  }
+};
+
+/// Byte accounting against a fixed budget — the eviction trigger of each
+/// AnswerCache shard. Plain counters: the owning shard guards its budget
+/// with its own mutex, so the accounting itself needs no atomics. Callers
+/// Charge() what they store and Release() exactly what they charged;
+/// over() is the "evict until not" predicate, which admits a resident set
+/// of at most `budget` bytes (a single entry larger than the whole budget
+/// evicts itself — the cache never holds more than its budget).
+class CacheBudget {
+ public:
+  explicit CacheBudget(std::size_t budget_bytes) : budget_(budget_bytes) {}
+
+  void Charge(std::size_t bytes) { used_ += bytes; }
+  void Release(std::size_t bytes) { used_ -= bytes < used_ ? bytes : used_; }
+
+  bool over() const { return used_ > budget_; }
+  std::size_t used() const { return used_; }
+  std::size_t budget() const { return budget_; }
+
+ private:
+  std::size_t budget_ = 0;
+  std::size_t used_ = 0;
+};
 
 /// A complete cached query answer: everything BatchAnswer carries except
 /// the execution profile (which describes *how* a particular run

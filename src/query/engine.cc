@@ -225,8 +225,8 @@ std::vector<BatchAnswer> AnswerAll(const std::vector<BatchQuery>& queries,
 // fingerprint mixes the full content of every input the evaluation reads
 // — path (start + every label), target object, comparison op, the
 // value's kind and complete bit pattern, cardinality label and range —
-// so equal fingerprints mean equal answers by construction (up to the
-// 2^-128 mixing-collision bound the ε-memo already accepts).
+// so equal fingerprints mean equal answers by construction (up to a
+// 2^-128 mixing-collision bound).
 
 /// How a query will be evaluated, independent of the BatchQuery kind
 /// that spelled it.
@@ -521,9 +521,6 @@ QueryEngine::QueryEngine(ProbabilisticInstance instance, BatchOptions options)
   if (options_.threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.threads);
   }
-  if (options_.cache) {
-    cache_ = std::make_unique<EpsilonMemoCache>(options_.cache_bytes);
-  }
   if (options_.answer_cache) {
     answer_cache_ = std::make_unique<AnswerCache>(options_.answer_cache_bytes);
   }
@@ -556,9 +553,6 @@ QueryEngine::QueryEngine(const ProbabilisticInstance* instance,
   }
   if (options_.threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.threads);
-  }
-  if (options_.cache) {
-    cache_ = std::make_unique<EpsilonMemoCache>(options_.cache_bytes);
   }
   if (options_.answer_cache) {
     answer_cache_ = std::make_unique<AnswerCache>(options_.answer_cache_bytes);
@@ -594,14 +588,6 @@ const ProbabilisticInstance& QueryEngine::instance() const {
 
 std::size_t QueryEngine::threads() const {
   return pool_ != nullptr ? pool_->num_threads() : 1;
-}
-
-EpsilonMemoCache::Stats QueryEngine::cache_stats() const {
-  return cache_ != nullptr ? cache_->stats() : EpsilonMemoCache::Stats{};
-}
-
-std::size_t QueryEngine::cache_size() const {
-  return cache_ != nullptr ? cache_->size() : 0;
 }
 
 AnswerCache::Stats QueryEngine::answer_cache_stats() const {
@@ -772,7 +758,7 @@ BatchAnswer QueryEngine::ExecuteOneTraced(const BatchQuery& query,
 
   // Each query leases its own scratch arena: concurrent batch queries get
   // private buffers, returned (warm) to the pool when the query finishes.
-  EpsilonHooks query_hooks = Hooks(eps_stats);
+  EpsilonHooks query_hooks{eps_stats};
   query_hooks.trace = trace;
   query_hooks.control = control;
   std::optional<EpsilonScratchPool::Lease> lease;
@@ -854,10 +840,6 @@ BatchAnswer QueryEngine::ExecuteOneTraced(const BatchQuery& query,
   prof.span = query_span.index();
   prof.epsilon_recomputed =
       eps_stats->recomputed.load(std::memory_order_relaxed);
-  prof.cache_lookups =
-      eps_stats->cache_lookups.load(std::memory_order_relaxed);
-  prof.cache_hits = eps_stats->cache_hits.load(std::memory_order_relaxed);
-  prof.cache_misses = prof.cache_lookups - prof.cache_hits;
   prof.frozen_passes =
       eps_stats->frozen_passes.load(std::memory_order_relaxed) +
       projection_stats->frozen_passes;
@@ -948,7 +930,7 @@ void QueryEngine::ExecuteSharedPoints(
     parallel.pool = pool_.get();
     parallel.min_parallel_width = options_.min_parallel_width;
 
-    EpsilonHooks hooks = Hooks(&(*eps_stats)[leader]);
+    EpsilonHooks hooks{&(*eps_stats)[leader]};
     hooks.trace = trace;
     hooks.control = control;
     std::optional<EpsilonScratchPool::Lease> lease;
@@ -1266,7 +1248,6 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
   obs::TraceSpan batch_span(trace, "batch");
   const auto wall0 = std::chrono::steady_clock::now();
   const double cpu0 = ProcessCpuSeconds();
-  const EpsilonMemoCache::Stats cache0 = cache_stats();
   // Pool activity is attributed to this batch at the moment it happens
   // (task tagging, see ThreadPool::BatchMetricsScope) — concurrent
   // batches on one pool cannot smear each other's numbers.
@@ -1444,9 +1425,6 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
     for (const EpsilonStats& es : eps_stats) {
       stats->epsilon_recomputed +=
           es.recomputed.load(std::memory_order_relaxed);
-      stats->cache_lookups +=
-          es.cache_lookups.load(std::memory_order_relaxed);
-      stats->cache_hits += es.cache_hits.load(std::memory_order_relaxed);
       stats->opf_row_ops += es.opf_row_ops.load(std::memory_order_relaxed);
       stats->entries_materialized +=
           es.entries_materialized.load(std::memory_order_relaxed);
@@ -1457,7 +1435,6 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
       stats->generic_passes +=
           es.generic_passes.load(std::memory_order_relaxed);
     }
-    stats->cache_misses = stats->cache_lookups - stats->cache_hits;
     stats->answer_cache_hits = answer_hits;
     stats->answer_cache_misses = answer_misses;
     stats->shared_queries = shared_served;
@@ -1472,9 +1449,6 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
       stats->max_queue_depth =
           pool_metrics.max_queue_depth.load(std::memory_order_relaxed);
     }
-    const EpsilonMemoCache::Stats cache1 = cache_stats();
-    stats->cache_invalidated = cache1.invalidated - cache0.invalidated;
-    stats->cache_evictions = cache1.evictions - cache0.evictions;
     stats->wall_seconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - wall0)
                               .count();
@@ -1489,14 +1463,6 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
                    pool_metrics.steals.load(std::memory_order_relaxed));
   }
   return answers;
-}
-
-Result<std::vector<BatchAnswer>> QueryEngine::Run(
-    const std::vector<BatchQuery>& queries, BatchStats* stats,
-    obs::TraceSession* trace, RunOptions options) const {
-  QueryRequest request;
-  request.require_latest = options.require_latest;
-  return Run(queries, request, stats, trace);
 }
 
 BatchAnswer QueryEngine::RunOne(const BatchQuery& query,
@@ -1598,44 +1564,6 @@ std::string QueryEngine::DebugSnapshot() const {
   out += slow_log_->ToJson();
   out += '}';
   return out;
-}
-
-Result<double> QueryEngine::PointProbability(const PathExpression& path,
-                                             ObjectId object,
-                                             RunOptions options) const {
-  QueryRequest request;
-  request.require_latest = options.require_latest;
-  BatchAnswer answer = RunOne(BatchQuery::Point(path, object), request);
-  if (!answer.status.ok()) return answer.status;
-  return answer.probability;
-}
-
-Result<double> QueryEngine::ExistsProbability(const PathExpression& path,
-                                              RunOptions options) const {
-  QueryRequest request;
-  request.require_latest = options.require_latest;
-  BatchAnswer answer = RunOne(BatchQuery::Exists(path), request);
-  if (!answer.status.ok()) return answer.status;
-  return answer.probability;
-}
-
-Result<double> QueryEngine::ValueProbability(const PathExpression& path,
-                                             const Value& value,
-                                             RunOptions options) const {
-  QueryRequest request;
-  request.require_latest = options.require_latest;
-  BatchAnswer answer = RunOne(BatchQuery::ValueEquals(path, value), request);
-  if (!answer.status.ok()) return answer.status;
-  return answer.probability;
-}
-
-Result<double> QueryEngine::ConditionProbability(const SelectionCondition& cond,
-                                                 RunOptions options) const {
-  QueryRequest request;
-  request.require_latest = options.require_latest;
-  BatchAnswer answer = RunOne(BatchQuery::Condition(cond), request);
-  if (!answer.status.ok()) return answer.status;
-  return answer.probability;
 }
 
 QueryEngine::MutationGuard::MutationGuard(QueryEngine* engine)

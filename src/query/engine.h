@@ -22,7 +22,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "query/answer_cache.h"
-#include "query/epsilon_cache.h"
 #include "query/point_queries.h"
 #include "util/cancel.h"
 #include "util/status.h"
@@ -32,8 +31,7 @@ namespace pxml {
 
 class EpsilonScratchPool;
 
-/// Configuration of a QueryEngine (and of the thin BatchQueryEngine
-/// wrapper, which predates it).
+/// Configuration of a QueryEngine.
 struct BatchOptions {
   /// Worker threads; 0 picks std::thread::hardware_concurrency(), and 1
   /// runs the serial path with no pool at all (bit-for-bit the historical
@@ -43,16 +41,6 @@ struct BatchOptions {
   /// passes are partitioned over subtrees (see ParallelOptions). Lower it
   /// to force intra-query parallelism on small instances (tests do).
   std::size_t min_parallel_width = 32;
-  /// ε-memo cache switch. With the cache on, per-object ε values are
-  /// memoized across queries and after a local ℘ update only the dirty
-  /// spine recomputes; cached answers are bit-identical to uncached ones
-  /// (see EpsilonMemoCache). The BatchQueryEngine wrapper forces this off
-  /// to preserve its historical stateless behavior.
-  bool cache = true;
-  /// Byte budget for the ε-memo cache (flat
-  /// EpsilonMemoCache::kBytesPerEntry per entry, LRU-evicted past the
-  /// budget; a budget below one entry clamps up to one entry).
-  std::size_t cache_bytes = EpsilonMemoCache::kDefaultBudgetBytes;
   /// Epoch-keyed answer cache switch (DESIGN.md §12). With it on, a
   /// query's complete answer — status, probability, projection — is
   /// cached under (epoch id, canonical query fingerprint) and a repeat of
@@ -84,10 +72,9 @@ struct BatchOptions {
   /// recompiles incrementally (FrozenInstance::Refreeze — only the dirty
   /// spine) where the structure allows. Results are bit-identical to the generic
   /// interpreter for explicit/independent OPFs; per-label products use
-  /// the factored recurrence and agree to ~1e-12 (DESIGN.md §9). The
-  /// BatchQueryEngine wrapper forces this off to preserve its historical
-  /// bit-exact behavior. Instances that cannot be frozen (non-tree, OPF
-  /// rows naming non-children) silently use the generic path.
+  /// the factored recurrence and agree to ~1e-12 (DESIGN.md §9).
+  /// Instances that cannot be frozen (non-tree, OPF rows naming
+  /// non-children) silently use the generic path.
   bool frozen = true;
 
   // ---- Admission control (DESIGN.md §11). All three gates default to
@@ -129,25 +116,12 @@ struct BatchOptions {
   std::size_t slow_query_log_entries = obs::SlowQueryLog::kDefaultMaxEntries;
 };
 
-/// Per-call read options (DESIGN.md §7).
-struct RunOptions {
-  /// Snapshot isolation is the default: a query pins the most recently
-  /// *committed* epoch and succeeds even while a MutationGuard is open,
-  /// returning answers bit-identical to a serial run against that
-  /// committed state. Setting `require_latest` restores the historical
-  /// fail-fast contract instead: if any mutation scope is active the call
-  /// returns kStale immediately, so read-your-writes callers never
-  /// observe an epoch older than the writer they are coordinating with.
-  bool require_latest = false;
-};
-
-/// Per-call execution policy: what RunOptions carried, plus the serving
-/// controls (deadline, budget, cancellation, admission priority) of
-/// DESIGN.md §11. Default-constructed it is equivalent to the old
-/// RunOptions{} — no deadline, no budget, no token — and the engine then
-/// passes null QueryControls through the passes, so answers *and row-op
-/// counts* are bit-identical to a pre-§11 run (the ≤2% CI gate rides on
-/// this).
+/// Per-call execution policy: the read consistency (DESIGN.md §7) plus
+/// the serving controls (deadline, budget, cancellation, admission
+/// priority) of DESIGN.md §11. Default-constructed it sets no deadline,
+/// no budget and no token, and the engine then passes null QueryControls
+/// through the passes, so answers *and row-op counts* are bit-identical
+/// to an uncontrolled run (the ≤2% CI gate rides on this).
 ///
 /// Trip granularity contract (util/cancel.h): once the deadline expires,
 /// the budget is exhausted, or the token trips, every query of the batch
@@ -171,7 +145,13 @@ struct QueryRequest {
   /// slot), 0 is normal, > 0 is critical (bypasses the backlog watermark
   /// and the cost gate; still bounded by max_in_flight_batches).
   int priority = 0;
-  /// See RunOptions::require_latest — unchanged fail-fast semantics.
+  /// Snapshot isolation is the default: a query pins the most recently
+  /// *committed* epoch and succeeds even while a MutationGuard is open,
+  /// returning answers bit-identical to a serial run against that
+  /// committed state. Setting `require_latest` restores the fail-fast
+  /// contract instead: if any mutation scope is active the call returns
+  /// kStale immediately, so read-your-writes callers never observe an
+  /// epoch older than the writer they are coordinating with.
   bool require_latest = false;
   /// Cooperative cancellation. The engine never owns the token; the
   /// caller keeps it alive for the duration of the call and may trip it
@@ -194,7 +174,7 @@ Status ApplyRequestFlag(std::string_view flag, QueryRequest* request);
 
 /// Per-batch counters, extending the per-projection phase breakdown with
 /// the pool-side numbers (the projection phases accumulate over every
-/// projection query in the batch) and the ε-memo cache activity.
+/// projection query in the batch).
 struct BatchStats : ProjectionStats {
   /// Worker threads the batch ran on (1 = serial path).
   std::size_t threads = 1;
@@ -210,24 +190,12 @@ struct BatchStats : ProjectionStats {
   /// Process CPU time consumed during the batch (all threads).
   double cpu_seconds = 0.0;
 
-  /// Per-object ε evaluations actually performed during the batch. This
-  /// is the operation count the incremental-update experiments assert on:
-  /// after one local OPF update, a cached re-query recomputes only the
-  /// dirty spine (O(depth)) instead of every path ancestor.
+  /// Per-object ε evaluations performed during the batch: every object of
+  /// every pass's pruned layers, once per pass.
   std::uint64_t epsilon_recomputed = 0;
-  /// ε-memo lookups attempted / served / not found during the batch
-  /// (cache_misses includes version-stale entries; all 0 with the cache
-  /// off).
+  /// Always 0 — see EpsilonMemoCache below.
   std::uint64_t cache_lookups = 0;
   std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  /// Lookups that found an entry but rejected it as version-stale (a ℘
-  /// update had touched the subtree). Counted at the shared cache, so
-  /// overlapping concurrent batches may misattribute these between each
-  /// other; the three counters above are tallied per batch and exact.
-  std::uint64_t cache_invalidated = 0;
-  /// LRU evictions at the shared cache while the batch ran.
-  std::uint64_t cache_evictions = 0;
   /// Per-row OPF work performed during the batch, ε passes and projection
   /// marginalization combined (see EpsilonStats::opf_row_ops for the
   /// counting rule). The frozen-kernel win is this counter's ratio
@@ -291,13 +259,8 @@ struct QueryProfile {
   /// scratch lease and dispatch (seconds).
   double wall_seconds = 0.0;
 
-  /// ε work: per-object evaluations actually performed, and the memo
-  /// cache's view of this query (lookups = hits + misses; all 0 with the
-  /// cache off).
+  /// ε work: per-object evaluations performed.
   std::uint64_t epsilon_recomputed = 0;
-  std::uint64_t cache_lookups = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
 
   /// Dispatch: passes served by the compiled frozen kernels vs the
   /// generic interpreter (a projection contributes its marginalization
@@ -363,10 +326,23 @@ struct BatchAnswer {
   QueryProfile profile;
 };
 
+/// The retired ε-memo surface. These five names read zero and exist only
+/// because bench/e2e (the end-to-end benchmark, which changes only
+/// together with its definition in BENCHMARK.json) compiles against them:
+/// EpsilonMemoCache::Stats, QueryEngine::cache_stats(),
+/// QueryEngine::cache_size(), BatchStats::cache_lookups and
+/// BatchStats::cache_hits. The next benchmark change removes them
+/// together with its epsilon_cache.* per-layer metrics.
+struct EpsilonMemoCache {
+  struct Stats {
+    std::uint64_t invalidated = 0;
+    std::uint64_t evictions = 0;
+  };
+};
+
 /// The unified query facade: owns (or borrows) a probabilistic instance
-/// together with the work-stealing thread pool and the ε-memo cache, and
-/// mediates every query and every mutation so the cache stays precisely
-/// invalidated.
+/// together with the work-stealing thread pool, and mediates every query
+/// and every mutation through immutable committed epochs.
 ///
 /// Two modes:
 ///  - *Owning* (construct from a ProbabilisticInstance by value): the
@@ -374,8 +350,7 @@ struct BatchAnswer {
 ///    UpdateVpf / ReplaceSubtree / BeginMutations) is available and every
 ///    update flows through the instance's version bookkeeping.
 ///  - *Borrowing* (construct from a const pointer): query-only; mutation
-///    calls return FailedPrecondition. This is what the legacy
-///    BatchQueryEngine wrapper uses.
+///    calls return FailedPrecondition.
 ///
 /// Concurrency contract (epoch-based snapshot isolation, DESIGN.md §7):
 /// the engine maintains a sequence of immutable committed *epochs*, each
@@ -388,17 +363,21 @@ struct BatchAnswer {
 /// destructor compiles (incremental Refreeze where the structure allows)
 /// and atomically publishes the next epoch. In-flight readers keep their
 /// pinned epoch; retired epochs are reclaimed by refcount as the last
-/// reader unpins. kStale survives only behind RunOptions::require_latest
+/// reader unpins. kStale survives only behind QueryRequest::require_latest
 /// (read-your-writes callers who prefer failing fast over reading the
 /// previous epoch).
 ///
-/// Determinism: with or without the cache, at any thread count, answers
-/// are bit-identical — cache hits return exactly the double a
-/// recomputation would produce, and every floating-point accumulation is
-/// sequential per object (see EpsilonPropagator). A batch's answers are
-/// bit-identical to a serial replay against the committed prefix of the
-/// mutation log its epoch corresponds to (QueryProfile::epoch names it).
-/// Only the counters in BatchStats are schedule-dependent.
+/// Determinism: at any thread count, answers are bit-identical — every
+/// floating-point accumulation is sequential per object (see
+/// EpsilonPropagator). A batch's answers are bit-identical to a serial
+/// replay against the committed prefix of the mutation log its epoch
+/// corresponds to (QueryProfile::epoch names it). Without serving
+/// controls the work counters (epsilon_recomputed, opf_row_ops,
+/// entries_materialized, pass counts) are schedule-independent too. The
+/// BatchStats numbers that depend on the thread schedule are tasks,
+/// steal_count, max_queue_depth, wall_seconds and cpu_seconds, plus
+/// bytes_allocated (which pooled scratch arena, warm or cold, a query
+/// leases).
 class QueryEngine {
  public:
   /// Owning mode: the engine takes the instance (move it in) and exposes
@@ -432,10 +411,9 @@ class QueryEngine {
     return head_epoch_.load(std::memory_order_acquire);
   }
 
-  /// Lifetime ε-memo cache counters (zeroes with the cache off).
-  EpsilonMemoCache::Stats cache_stats() const;
-  /// Current number of memoized ε entries.
-  std::size_t cache_size() const;
+  /// Always zero — see EpsilonMemoCache.
+  EpsilonMemoCache::Stats cache_stats() const { return {}; }
+  std::size_t cache_size() const { return 0; }
 
   /// Lifetime answer-cache counters (zeroes with the answer cache off).
   AnswerCache::Stats answer_cache_stats() const;
@@ -446,7 +424,7 @@ class QueryEngine {
   /// corresponds to queries[i]. The returned status is only non-OK for
   /// engine-level failures; per-query failures are reported in each
   /// BatchAnswer. With request.require_latest and a mutation scope open,
-  /// every answer is kStale (see RunOptions).
+  /// every answer is kStale.
   ///
   /// Serving path (DESIGN.md §11), in order:
   ///  1. fail-fast checks — require_latest (kStale), an already-expired
@@ -470,40 +448,14 @@ class QueryEngine {
   /// export via obs::TraceSession::WriteChromeTrace. Null is the
   /// zero-cost disabled path; tracing never changes answers.
   Result<std::vector<BatchAnswer>> Run(const std::vector<BatchQuery>& queries,
-                                       const QueryRequest& request,
+                                       const QueryRequest& request = {},
                                        BatchStats* stats = nullptr,
                                        obs::TraceSession* trace = nullptr) const;
 
-  /// Legacy entry point: RunOptions carries only require_latest; forwards
-  /// to the QueryRequest overload with no deadline/budget/token.
-  Result<std::vector<BatchAnswer>> Run(const std::vector<BatchQuery>& queries,
-                                       BatchStats* stats = nullptr,
-                                       obs::TraceSession* trace = nullptr,
-                                       RunOptions options = {}) const;
-
   /// Runs one query through the full serving path (admission, deadline,
-  /// budget, cancellation — a one-query batch). This is *the* single-
-  /// query entry point; the typed conveniences below are shims over it.
+  /// budget, cancellation — a one-query batch).
   BatchAnswer RunOne(const BatchQuery& query,
                      const QueryRequest& request = {}) const;
-
-  /// Single-query conveniences, retained as thin shims over RunOne().
-  /// They predate BatchQuery/BatchAnswer and lose the profile and the
-  /// serving controls — new code should build a BatchQuery and call
-  /// RunOne (or Run) instead.
-  [[deprecated("use RunOne(BatchQuery::Point(...), request)")]]
-  Result<double> PointProbability(const PathExpression& path, ObjectId object,
-                                  RunOptions options = {}) const;
-  [[deprecated("use RunOne(BatchQuery::Exists(...), request)")]]
-  Result<double> ExistsProbability(const PathExpression& path,
-                                   RunOptions options = {}) const;
-  [[deprecated("use RunOne(BatchQuery::ValueEquals(...), request)")]]
-  Result<double> ValueProbability(const PathExpression& path,
-                                  const Value& value,
-                                  RunOptions options = {}) const;
-  [[deprecated("use RunOne(BatchQuery::Condition(...), request)")]]
-  Result<double> ConditionProbability(const SelectionCondition& cond,
-                                      RunOptions options = {}) const;
 
   /// Batches currently executing (admitted, not yet finished). Relaxed
   /// instantaneous read — the admission tests' recovery signal.
@@ -535,7 +487,7 @@ class QueryEngine {
   /// update succeeded, so a scope that only failed (or did nothing)
   /// publishes nothing. Queries issued while the guard is open — even
   /// from the guard's own thread — succeed against the pre-mutation
-  /// epoch; only RunOptions::require_latest callers see kStale.
+  /// epoch; only QueryRequest::require_latest callers see kStale.
   /// Move-only; publishes (and releases the writer lock) on destruction.
   class MutationGuard {
    public:
@@ -545,18 +497,18 @@ class QueryEngine {
     MutationGuard& operator=(const MutationGuard&) = delete;
     ~MutationGuard();
 
-    /// Replaces ℘(o) for a non-leaf. kUnknownObject if o is not present;
-    /// the ε-memo entries of o's ancestor spine become stale, nothing
+    /// Replaces ℘(o) for a non-leaf. kUnknownObject if o is not present.
+    /// The publishing Refreeze recompiles o's ancestor spine, nothing
     /// else.
     Status UpdateOpf(ObjectId o, std::unique_ptr<Opf> opf);
-    /// Replaces ℘(o) for a leaf. Same invalidation footprint.
+    /// Replaces ℘(o) for a leaf. Same recompilation footprint.
     Status UpdateVpf(ObjectId o, Vpf vpf);
     /// Grafts the local interpretation of `donor`'s subtree under
     /// `donor_root` onto the engine instance's subtree under `at`: the
     /// two subtrees are matched top-down by object name and edge-label
     /// shape, and every matched object's OPF/VPF is replaced by the
     /// donor's (child ids remapped). The weak structure is untouched, so
-    /// invalidation stays per-subtree — no whole-cache flush.
+    /// the publishing Refreeze stays incremental — no full Freeze.
     /// kUnknownObject for missing roots, InvalidArgument on any shape or
     /// name mismatch (applied updates up to that point remain — wrap in
     /// a fresh engine if atomicity across a failed graft matters).
@@ -681,9 +633,6 @@ class QueryEngine {
                std::uint64_t estimated_cost) const;
   /// Releases an Admit slot and wakes one queued waiter.
   void ReleaseAdmission() const;
-  EpsilonHooks Hooks(EpsilonStats* stats) const {
-    return EpsilonHooks{cache_.get(), stats};
-  }
 
   /// Pins the current head epoch (never null). In borrowing mode this
   /// lazily re-snapshots when the borrowed instance's versions moved
@@ -706,7 +655,6 @@ class QueryEngine {
   /// Borrowing mode only: the external instance head_ wraps (unowned).
   const ProbabilisticInstance* borrowed_ = nullptr;
   std::unique_ptr<ThreadPool> pool_;              // null when threads() == 1
-  std::unique_ptr<EpsilonMemoCache> cache_;       // null when options.cache off
   std::unique_ptr<EpsilonScratchPool> scratch_pool_;  // null when frozen off
   /// Epoch-keyed answer cache (null when options.answer_cache off).
   /// Declared before head_ so it is destroyed after it: the final

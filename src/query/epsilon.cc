@@ -102,9 +102,6 @@ void FlushEpsilonPass(const EpsilonStats& tally, EpsilonStats* out,
                       obs::TraceSpan& span, bool frozen) {
   const std::uint64_t recomputed =
       tally.recomputed.load(std::memory_order_relaxed);
-  const std::uint64_t lookups =
-      tally.cache_lookups.load(std::memory_order_relaxed);
-  const std::uint64_t hits = tally.cache_hits.load(std::memory_order_relaxed);
   const std::uint64_t row_ops =
       tally.opf_row_ops.load(std::memory_order_relaxed);
   const std::uint64_t materialized =
@@ -115,8 +112,6 @@ void FlushEpsilonPass(const EpsilonStats& tally, EpsilonStats* out,
       tally.frozen_passes.load(std::memory_order_relaxed);
   if (out != nullptr) {
     out->recomputed.fetch_add(recomputed, std::memory_order_relaxed);
-    out->cache_lookups.fetch_add(lookups, std::memory_order_relaxed);
-    out->cache_hits.fetch_add(hits, std::memory_order_relaxed);
     out->opf_row_ops.fetch_add(row_ops, std::memory_order_relaxed);
     out->entries_materialized.fetch_add(materialized,
                                         std::memory_order_relaxed);
@@ -131,10 +126,6 @@ void FlushEpsilonPass(const EpsilonStats& tally, EpsilonStats* out,
     using obs::Registry;
     static Counter& c_recomputed =
         Registry::Global().GetCounter("pxml.epsilon.recomputed");
-    static Counter& c_lookups =
-        Registry::Global().GetCounter("pxml.epsilon.cache_lookups");
-    static Counter& c_hits =
-        Registry::Global().GetCounter("pxml.epsilon.cache_hits");
     static Counter& c_row_ops =
         Registry::Global().GetCounter("pxml.epsilon.opf_row_ops");
     static Counter& c_materialized =
@@ -146,8 +137,6 @@ void FlushEpsilonPass(const EpsilonStats& tally, EpsilonStats* out,
     static Counter& c_frozen =
         Registry::Global().GetCounter("pxml.epsilon.passes_frozen");
     c_recomputed.Add(recomputed);
-    c_lookups.Add(lookups);
-    c_hits.Add(hits);
     c_row_ops.Add(row_ops);
     c_materialized.Add(materialized);
     c_bytes.Add(bytes);
@@ -162,8 +151,6 @@ void FlushEpsilonPass(const EpsilonStats& tally, EpsilonStats* out,
   if (span.enabled()) {
     span.Arg("dispatch", frozen ? "frozen" : "generic");
     span.Arg("recomputed", recomputed);
-    span.Arg("cache_lookups", lookups);
-    span.Arg("cache_hits", hits);
     span.Arg("opf_row_ops", row_ops);
     span.Arg("entries_materialized", materialized);
     span.Arg("bytes_allocated", bytes);
@@ -179,7 +166,7 @@ Result<double> EpsilonPropagator::RootEpsilon(
   if (frozen_ != nullptr && scratch_ != nullptr &&
       frozen_->InSyncWith(instance_)) {
     return FrozenRootEpsilon(*frozen_, instance_, path, targets, parallel_,
-                             cache_, stats_, scratch_, trace_, control_);
+                             stats_, scratch_, trace_, control_);
   }
   obs::TraceSpan span(trace_, "epsilon");
   // Every counter of the pass lands in a pass-local tally first and is
@@ -205,7 +192,6 @@ Result<double> EpsilonPropagator::RootEpsilonGeneric(
   const std::size_t n = path.labels.size();
 
   std::vector<double> eps(weak.dict().num_objects(), 0.0);
-  std::uint64_t pass_bytes = eps.size() * sizeof(double);
   for (const TargetEps& t : targets) {
     if (!layers[n].Contains(t.object)) {
       return Status::BadPath(StrCat("target id ", t.object,
@@ -213,70 +199,22 @@ Result<double> EpsilonPropagator::RootEpsilonGeneric(
     }
     eps[t.object] = t.eps;
   }
-  if (n == 0) {
-    tally.bytes_allocated.fetch_add(pass_bytes, std::memory_order_relaxed);
-    return eps[weak.root()];
-  }
+  tally.bytes_allocated.fetch_add(eps.size() * sizeof(double),
+                                  std::memory_order_relaxed);
+  if (n == 0) return eps[weak.root()];
 
-  // Memo bookkeeping. fp[o] fingerprints the target configuration inside
-  // o's subtree (object ids on the pruned match below o, plus the
-  // survival eps at the final layer); the memo key additionally folds in
-  // the path suffix below o's level. ℘ content is deliberately *not*
-  // fingerprinted — the version stamp in the cache entry covers it via
-  // SubtreeChangeVersion, which is what makes a single-OPF update
-  // invalidate exactly the dirty spine.
-  std::vector<Fingerprint> fp;
-  std::vector<Fingerprint> suffix;
-  if (cache_ != nullptr) {
-    cache_->SyncStructureVersion(instance_.structure_version());
-    fp.resize(weak.dict().num_objects());
-    for (ObjectId t : layers[n]) {
-      Fingerprint f;
-      f.Mix(t);
-      f.MixDouble(eps[t]);
-      fp[t] = f;
-    }
-    suffix.resize(n + 1);
-    for (std::size_t i = n; i-- > 0;) {
-      suffix[i] = suffix[i + 1];
-      suffix[i].Mix(path.labels[i]);
-    }
-    pass_bytes += fp.size() * sizeof(Fingerprint) +
-                  suffix.size() * sizeof(Fingerprint);
-  }
-  tally.bytes_allocated.fetch_add(pass_bytes, std::memory_order_relaxed);
-
-  // ε of one frontier object from its children's (finalized) ε values,
-  // served from the memo when the subtree is unchanged. Writes only its
-  // own eps/fp slots; the per-row sums stay sequential per object, so
-  // parallel and serial (and cached and uncached) execution produce
-  // identical bits.
-  auto process = [&](ObjectId o, std::size_t level, LabelId l,
-                     const IdSet& next_layer) -> Status {
-    // Cooperative gate: one op up front (so cache-hit-only levels still
-    // advance the check interval), the object's row-ops at the end, and
-    // block charges inside the potentially-exponential streaming loop.
+  // ε of one frontier object from its children's (finalized) ε values.
+  // Writes only its own eps slot; the per-row sums stay sequential per
+  // object, so parallel and serial execution produce identical bits.
+  auto process = [&](ObjectId o, LabelId l, const IdSet& next_layer) -> Status {
+    // Cooperative gate: one op up front, the object's row-ops at the
+    // end, and block charges inside the potentially-exponential
+    // streaming loop.
     if (control_ != nullptr) {
       Status cs = control_->Charge(1);
       if (!cs.ok()) return cs;
     }
     const IdSet retained = weak.Lch(o, l).Intersect(next_layer);
-    Fingerprint key;
-    if (cache_ != nullptr) {
-      Fingerprint f;
-      f.Mix(o);
-      for (ObjectId j : retained) f.MixFingerprint(fp[j]);
-      fp[o] = f;
-      key = f;
-      key.MixFingerprint(suffix[level]);
-      tally.cache_lookups.fetch_add(1, std::memory_order_relaxed);
-      if (std::optional<double> hit =
-              cache_->Lookup(key, instance_.SubtreeChangeVersion(o))) {
-        tally.cache_hits.fetch_add(1, std::memory_order_relaxed);
-        eps[o] = *hit;
-        return Status::Ok();
-      }
-    }
     double e = 0.0;
     std::uint64_t ops = 0;
     std::uint64_t materialized = 0;
@@ -292,15 +230,8 @@ Result<double> EpsilonPropagator::RootEpsilonGeneric(
                                            std::memory_order_relaxed);
     }
     tally.bytes_allocated.fetch_add(bytes, std::memory_order_relaxed);
-    if (cache_ != nullptr) {
-      // Stamp with the subtree's own change version (not the global
-      // instance version): the exact-match Lookup rule serves the entry
-      // to any reader — in any epoch — whose snapshot reports the same
-      // subtree-change version, i.e. the same subtree ℘ state.
-      cache_->Insert(key, e, instance_.SubtreeChangeVersion(o));
-    }
-    // Charged after the work (the object is complete and cached, so a
-    // retry reuses it); overshoot is bounded by one object's stored rows.
+    // Charged after the work; overshoot is bounded by one object's
+    // stored rows.
     if (control_ != nullptr) {
       Status cs = control_->Charge(ops);
       if (!cs.ok()) return cs;
@@ -322,14 +253,14 @@ Result<double> EpsilonPropagator::RootEpsilonGeneric(
       ParallelFor(parallel_.pool, objs.size(), grain,
                   [&](std::size_t begin, std::size_t end) {
                     for (std::size_t k = begin; k < end; ++k) {
-                      statuses[k] = process(objs[k], level, l, next_layer);
+                      statuses[k] = process(objs[k], l, next_layer);
                     }
                   });
       // Deterministic error selection: first failure in frontier order.
       for (const Status& s : statuses) PXML_RETURN_IF_ERROR(s);
     } else {
       for (ObjectId o : frontier) {
-        PXML_RETURN_IF_ERROR(process(o, level, l, next_layer));
+        PXML_RETURN_IF_ERROR(process(o, l, next_layer));
       }
     }
   }

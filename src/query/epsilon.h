@@ -9,7 +9,6 @@
 #include "graph/path.h"
 #include "obs/trace.h"
 #include "prob/value.h"
-#include "query/epsilon_cache.h"
 #include "util/cancel.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -32,9 +31,6 @@ struct TargetEps {
 /// parallel passes update them from several workers; totals are exact.
 struct EpsilonStats {
   std::atomic<std::uint64_t> recomputed{0};
-  /// Memo lookups attempted / served (0 without a cache).
-  std::atomic<std::uint64_t> cache_lookups{0};
-  std::atomic<std::uint64_t> cache_hits{0};
   /// Per-row OPF work: +1 per support row visited during an ε evaluation
   /// plus +1 per child slot of that row (for independent OPFs, +1 per
   /// (child, p) entry; for per-label factors, +1 per factor). The
@@ -48,8 +44,8 @@ struct EpsilonStats {
   std::atomic<std::uint64_t> entries_materialized{0};
   /// Tracked hot-path heap bytes: scratch-arena capacity growth on the
   /// frozen path (zero once warm) and, on the generic path, the size of
-  /// the per-pass ε/fingerprint tables, the per-object retained sets and
-  /// any materialized transient rows. Not a full malloc audit — a lower
+  /// the per-pass ε table, the per-object retained sets and any
+  /// materialized transient rows. Not a full malloc audit — a lower
   /// bound that is exactly 0 for a warmed-up frozen re-query.
   std::atomic<std::uint64_t> bytes_allocated{0};
   /// ε passes answered by the frozen kernels (vs the generic interpreter).
@@ -89,15 +85,8 @@ struct EpsilonScratch;
 /// the result is bit-identical to the serial pass regardless of
 /// scheduling. The final root combine is inherently sequential.
 ///
-/// With an EpsilonMemoCache, every per-object ε is memoized under a
-/// fingerprint of (object, path suffix below its level, target set with
-/// survival eps restricted to its subtree) and stamped with the instance
-/// version; a later pass reuses any entry whose subtree ℘ has not changed
-/// since (ProbabilisticInstance::SubtreeChangeVersion). After a single
-/// local update only the dirty spine — the updated object's ancestors —
-/// is recomputed: O(depth) ε work instead of O(tree). Hits return exactly
-/// the double a recomputation would produce, so cached and uncached
-/// passes are bit-identical.
+/// The propagator is stateless: every pass evaluates every object of the
+/// pruned layers once, and nothing survives between passes.
 class EpsilonPropagator {
  public:
   /// With a `frozen` snapshot that is in sync with `instance`
@@ -119,7 +108,6 @@ class EpsilonPropagator {
   /// interval (util/cancel.h) instead of running the pass to completion.
   explicit EpsilonPropagator(const ProbabilisticInstance& instance,
                              ParallelOptions parallel = {},
-                             EpsilonMemoCache* cache = nullptr,
                              EpsilonStats* stats = nullptr,
                              const FrozenInstance* frozen = nullptr,
                              EpsilonScratch* scratch = nullptr,
@@ -127,7 +115,6 @@ class EpsilonPropagator {
                              QueryControl* control = nullptr)
       : instance_(instance),
         parallel_(parallel),
-        cache_(cache),
         stats_(stats),
         frozen_(frozen),
         scratch_(scratch),
@@ -151,10 +138,8 @@ class EpsilonPropagator {
   /// generic route replays the same per-object kernel code via the
   /// shared evaluation helper). Differences from per-target RootEpsilon
   /// calls: a target off the final pruned layer yields 0.0 instead of
-  /// kBadPath (the composite PointQuery contract), and the ε-memo cache
-  /// is neither consulted nor fed (memo hits are bit-identical to
-  /// recomputation, so skipping it cannot change answers). The pass is
-  /// tallied once into stats and charged once through control.
+  /// kBadPath (the composite PointQuery contract). The pass is tallied
+  /// once into stats and charged once through control.
   Status RootEpsilonShared(const PathExpression& path,
                            std::span<const TargetEps> targets,
                            std::span<double> out) const;
@@ -174,7 +159,6 @@ class EpsilonPropagator {
 
   const ProbabilisticInstance& instance_;
   ParallelOptions parallel_;
-  EpsilonMemoCache* cache_;
   EpsilonStats* stats_;
   const FrozenInstance* frozen_;
   EpsilonScratch* scratch_;

@@ -548,7 +548,6 @@ Result<double> FrozenRootEpsilonImpl(const FrozenInstance& frozen,
                                      const PathExpression& path,
                                      std::span<const TargetEps> targets,
                                      const ParallelOptions& parallel,
-                                     EpsilonMemoCache* cache,
                                      EpsilonStats& tally,
                                      EpsilonScratch* scratch,
                                      QueryControl* control) {
@@ -582,26 +581,6 @@ Result<double> FrozenRootEpsilonImpl(const FrozenInstance& frozen,
     return s->eps[frozen.root()];
   }
 
-  // Memo bookkeeping — fingerprints must be computed exactly as the
-  // generic interpreter computes them so entries are interchangeable
-  // between the two paths (see epsilon.cc for the key layout).
-  if (cache != nullptr) {
-    cache->SyncStructureVersion(instance.structure_version());
-    s->SizeTo(s->fp, num_ids);
-    for (ObjectId t : s->layers[n]) {
-      Fingerprint f;
-      f.Mix(t);
-      f.MixDouble(s->eps[t]);
-      s->fp[t] = f;
-    }
-    s->SizeTo(s->suffix, n + 1);
-    s->suffix[n] = Fingerprint{};
-    for (std::size_t i = n; i-- > 0;) {
-      s->suffix[i] = s->suffix[i + 1];
-      s->suffix[i].Mix(path.labels[i]);
-    }
-  }
-
   // The lane backend is resolved once per pass, so a concurrent
   // SetBackend (benchmarks only) cannot split one pass across backends.
   const kernel_batch::Evaluators ev = kernel_batch::Select();
@@ -613,38 +592,19 @@ Result<double> FrozenRootEpsilonImpl(const FrozenInstance& frozen,
   // got there through o under the level's label — so the single mark test
   // equals the generic `∈ Lch(o, l) ∩ next_layer` membership, and each
   // mark slot is read only by the unique parent of j (no races). Writes
-  // only its own eps/fp slots; per-row accumulation order matches the
+  // only its own eps slot; per-row accumulation order matches the
   // generic interpreter exactly for explicit/independent kernels. The
   // vector backends additionally rely on the invariant that eps[j] is
   // exactly +0.0 for every unmarked child (the pass zero-fills eps and
   // only pruned-layer objects are written), which lets them drop the
   // mark test — see kernel_batch.h.
-  auto process = [&](ObjectId o, std::size_t level, LabelId l) -> Status {
-    // Cooperative gate: one op up front (cache hits included), the
-    // kernel's row-ops at the end — overshoot per worker is bounded by
-    // one kernel's rows plus the check interval (util/cancel.h).
+  auto process = [&](ObjectId o, LabelId l) -> Status {
+    // Cooperative gate: one op up front, the kernel's row-ops at the
+    // end — overshoot per worker is bounded by one kernel's rows plus the
+    // check interval (util/cancel.h).
     if (control != nullptr) {
       Status cs = control->Charge(1);
       if (!cs.ok()) return cs;
-    }
-    const std::span<const ObjectId> kids = frozen.children(o, l);
-    Fingerprint key;
-    if (cache != nullptr) {
-      Fingerprint f;
-      f.Mix(o);
-      for (ObjectId j : kids) {
-        if (s->mark[j]) f.MixFingerprint(s->fp[j]);
-      }
-      s->fp[o] = f;
-      key = f;
-      key.MixFingerprint(s->suffix[level]);
-      tally.cache_lookups.fetch_add(1, std::memory_order_relaxed);
-      if (std::optional<double> hit =
-              cache->Lookup(key, instance.SubtreeChangeVersion(o))) {
-        tally.cache_hits.fetch_add(1, std::memory_order_relaxed);
-        s->eps[o] = *hit;
-        return Status::Ok();
-      }
     }
     double e = 0.0;
     std::uint64_t ops = 0;
@@ -653,12 +613,6 @@ Result<double> FrozenRootEpsilonImpl(const FrozenInstance& frozen,
     s->eps[o] = e;
     tally.recomputed.fetch_add(1, std::memory_order_relaxed);
     tally.opf_row_ops.fetch_add(ops, std::memory_order_relaxed);
-    if (cache != nullptr) {
-      // Same stamp the generic interpreter writes (epsilon.cc): the
-      // subtree's change version, so exact-match Lookup keeps entries
-      // interchangeable between dispatch paths and across MVCC epochs.
-      cache->Insert(key, e, instance.SubtreeChangeVersion(o));
-    }
     if (control != nullptr) {
       Status cs = control->Charge(ops);
       if (!cs.ok()) return cs;
@@ -666,13 +620,6 @@ Result<double> FrozenRootEpsilonImpl(const FrozenInstance& frozen,
     return Status::Ok();
   };
 
-  // The cross-object batched run needs neither memo fingerprints nor the
-  // cooperative Charge interleaving — both are per-object protocols — so
-  // it engages only on cache-free, control-free passes. Its counter
-  // totals match the per-object loop exactly (kernel_batch.h), keeping
-  // work accounting dispatch-neutral.
-  const bool batch_runs = cache == nullptr && control == nullptr &&
-                          ev.eval_run != nullptr;
   for (std::size_t level = n; level-- > 0;) {
     const LabelId l = path.labels[level];
     const std::vector<ObjectId>& frontier = s->layers[level];
@@ -689,28 +636,8 @@ Result<double> FrozenRootEpsilonImpl(const FrozenInstance& frozen,
           1, frontier.size() / (4 * parallel.pool->num_threads() + 1));
       ParallelFor(parallel.pool, frontier.size(), grain,
                   [&](std::size_t begin, std::size_t end) {
-                    if (batch_runs) {
-                      std::uint64_t ops = 0;
-                      std::uint64_t evals = 0;
-                      Status st = ev.eval_run(
-                          frozen, instance, frontier.data() + begin,
-                          end - begin, l, s->mark.data(), s->eps.data(), ops,
-                          evals);
-                      tally.recomputed.fetch_add(evals,
-                                                 std::memory_order_relaxed);
-                      tally.opf_row_ops.fetch_add(ops,
-                                                  std::memory_order_relaxed);
-                      for (std::size_t k = begin; k < end; ++k) {
-                        s->statuses[k] = Status::Ok();
-                      }
-                      // `evals` successes precede the failure, so the
-                      // failing object sits at begin + evals — the slot
-                      // the per-object loop would have marked.
-                      if (!st.ok()) s->statuses[begin + evals] = st;
-                      return;
-                    }
                     for (std::size_t k = begin; k < end; ++k) {
-                      s->statuses[k] = process(frontier[k], level, l);
+                      s->statuses[k] = process(frontier[k], l);
                     }
                   });
       // Deterministic error selection: first failure in frontier order.
@@ -720,17 +647,9 @@ Result<double> FrozenRootEpsilonImpl(const FrozenInstance& frozen,
           break;
         }
       }
-    } else if (batch_runs) {
-      std::uint64_t ops = 0;
-      std::uint64_t evals = 0;
-      level_status =
-          ev.eval_run(frozen, instance, frontier.data(), frontier.size(), l,
-                      s->mark.data(), s->eps.data(), ops, evals);
-      tally.recomputed.fetch_add(evals, std::memory_order_relaxed);
-      tally.opf_row_ops.fetch_add(ops, std::memory_order_relaxed);
     } else {
       for (ObjectId o : frontier) {
-        level_status = process(o, level, l);
+        level_status = process(o, l);
         if (!level_status.ok()) break;
       }
     }
@@ -773,9 +692,7 @@ Status FrozenRootEpsilonSharedImpl(const FrozenInstance& frozen,
   // check can fire, so these errors reach only the targets that would
   // actually have run a pass. The kernel sweep replays the full pass's
   // missing-OPF behavior (deepest level first, frontier order) without
-  // row work; a kMissing object is never served from the ε-memo (its
-  // evaluation always errors, so nothing ever inserted it), hence the
-  // sweep reproduces the cold status exactly.
+  // row work, so it reproduces the cold status exactly.
   Status sweep = Status::Ok();
   if (path.start != frozen.root()) {
     sweep = Status::BadPath("epsilon propagation paths must start at the root");
@@ -914,15 +831,13 @@ Result<double> FrozenRootEpsilon(const FrozenInstance& frozen,
                                  const PathExpression& path,
                                  std::span<const TargetEps> targets,
                                  const ParallelOptions& parallel,
-                                 EpsilonMemoCache* cache, EpsilonStats* stats,
-                                 EpsilonScratch* scratch,
+                                 EpsilonStats* stats, EpsilonScratch* scratch,
                                  obs::TraceSession* trace,
                                  QueryControl* control) {
   obs::TraceSpan span(trace, "epsilon");
   EpsilonStats tally;
-  Result<double> result = FrozenRootEpsilonImpl(frozen, instance, path,
-                                                targets, parallel, cache,
-                                                tally, scratch, control);
+  Result<double> result = FrozenRootEpsilonImpl(
+      frozen, instance, path, targets, parallel, tally, scratch, control);
   FlushEpsilonPass(tally, stats, span, /*frozen=*/true);
   return result;
 }

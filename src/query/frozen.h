@@ -12,7 +12,6 @@
 #include "core/probabilistic_instance.h"
 #include "graph/path.h"
 #include "query/epsilon.h"
-#include "query/epsilon_cache.h"
 #include "util/simd.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -48,8 +47,6 @@ struct EpsilonScratch {
   // arenas — leased to sibling workers — ever share a cache line.
   simd::AlignedVector<double> eps;
   simd::AlignedVector<std::uint8_t> mark;  // pruned-layer membership bitmap
-  std::vector<Fingerprint> fp;
-  std::vector<Fingerprint> suffix;
   std::vector<std::vector<ObjectId>> layers;
   std::vector<Status> statuses;
   /// Pruned-layer parent pointers (unique in a tree) — the spine index
@@ -88,7 +85,7 @@ struct EpsilonScratch {
 };
 
 /// A mutex-guarded freelist of scratch arenas, owned by the
-/// QueryEngine/BatchQueryEngine facade. Acquire() pops a warmed arena (or
+/// QueryEngine facade. Acquire() pops a warmed arena (or
 /// allocates a cold one on first use); the Lease returns it on
 /// destruction, so concurrent queries each get a private arena and
 /// steady-state query traffic never allocates scratch.
@@ -330,9 +327,8 @@ class FrozenInstance {
   // -------------------------------------------------------------------
   // The level schedule (DESIGN.md §14): topo_order_ partitioned into
   // depth levels. Objects within one level are mutually independent in a
-  // tree (none is an ancestor of another), which is what lets the batch
-  // evaluator process a level's kernels in any order and across lanes.
-  // The pruned path layer K_i of a root-anchored query is always a
+  // tree (none is an ancestor of another), so a level's kernels may run
+  // in any order. The pruned path layer K_i of a root-anchored query is always a
   // subset of level(i) — the schedule is the query-independent superset
   // computed once at Freeze time and carried over by Refreeze.
   // -------------------------------------------------------------------
@@ -405,9 +401,8 @@ class FrozenInstance {
 /// EpsilonPropagator::RootEpsilon evaluated with the compiled kernels
 /// and a reusable scratch arena. `frozen` must be in sync with
 /// `instance` (the caller — normally EpsilonPropagator — checks).
-/// `scratch` must be non-null; `cache`/`stats` are optional and behave
-/// exactly as in the generic pass (same fingerprints, same version
-/// gating, interchangeable entries for explicit/independent kernels).
+/// `scratch` must be non-null; `stats` is optional and counts exactly as
+/// in the generic pass.
 /// A non-null `trace` records the pass as an "epsilon" span with the
 /// pass counters attached (dispatch="frozen"). A non-null `control` makes
 /// the pass cooperative (deadline/budget/cancellation, util/cancel.h);
@@ -417,8 +412,7 @@ Result<double> FrozenRootEpsilon(const FrozenInstance& frozen,
                                  const PathExpression& path,
                                  std::span<const TargetEps> targets,
                                  const ParallelOptions& parallel,
-                                 EpsilonMemoCache* cache, EpsilonStats* stats,
-                                 EpsilonScratch* scratch,
+                                 EpsilonStats* stats, EpsilonScratch* scratch,
                                  obs::TraceSession* trace = nullptr,
                                  QueryControl* control = nullptr);
 
@@ -442,9 +436,7 @@ Result<double> FrozenRootEpsilon(const FrozenInstance& frozen,
 ///
 /// Contract differences from FrozenRootEpsilon: a target off the final
 /// pruned layer yields out[i] = 0.0 (the composite PointQuery contract)
-/// instead of kBadPath, and the ε-memo cache is not consulted or fed —
-/// memo hits are bit-identical to recomputation, so skipping the memo
-/// cannot change answers. Work is tallied once into `stats`
+/// instead of kBadPath. Work is tallied once into `stats`
 /// (one frozen pass); `control` is charged exactly once for the whole
 /// shared pass.
 Status FrozenRootEpsilonShared(const FrozenInstance& frozen,

@@ -1,7 +1,5 @@
 #include "query/kernel_batch.h"
 
-#include <algorithm>
-
 #include "query/kernel_batch_impl.h"
 
 namespace pxml::kernel_batch {
@@ -32,15 +30,6 @@ void ExpandScalar(const double* q, std::size_t bits, double* acc) {
   ExpandT<simd::ScalarLanes>(q, bits, acc);
 }
 
-Status EvalRunScalar(const FrozenInstance& frozen,
-                     const ProbabilisticInstance& instance,
-                     const ObjectId* objs, std::size_t count, LabelId l,
-                     const std::uint8_t* mark, double* eps,
-                     std::uint64_t& ops_out, std::uint64_t& evals_out) {
-  return EvalRunT<simd::ScalarLanes>(&EvalOneScalar, frozen, instance, objs,
-                                     count, l, mark, eps, ops_out, evals_out);
-}
-
 #if defined(__SSE2__)
 Status EvalOneSse2(const FrozenInstance& frozen,
                    const ProbabilisticInstance& instance, ObjectId o,
@@ -53,15 +42,6 @@ Status EvalOneSse2(const FrozenInstance& frozen,
 void ExpandSse2(const double* q, std::size_t bits, double* acc) {
   ExpandT<simd::Sse2Lanes>(q, bits, acc);
 }
-
-Status EvalRunSse2(const FrozenInstance& frozen,
-                   const ProbabilisticInstance& instance, const ObjectId* objs,
-                   std::size_t count, LabelId l, const std::uint8_t* mark,
-                   double* eps, std::uint64_t& ops_out,
-                   std::uint64_t& evals_out) {
-  return EvalRunT<simd::Sse2Lanes>(&EvalOneSse2, frozen, instance, objs,
-                                   count, l, mark, eps, ops_out, evals_out);
-}
 #endif  // __SSE2__
 
 }  // namespace
@@ -73,32 +53,26 @@ Status EvalOneAvx2(const FrozenInstance& frozen,
                    LabelId l, const std::uint8_t* mark, const double* eps,
                    double& e_out, std::uint64_t& ops_out);
 void ExpandAvx2(const double* q, std::size_t bits, double* acc);
-Status EvalRunAvx2(const FrozenInstance& frozen,
-                   const ProbabilisticInstance& instance, const ObjectId* objs,
-                   std::size_t count, LabelId l, const std::uint8_t* mark,
-                   double* eps, std::uint64_t& ops_out,
-                   std::uint64_t& evals_out);
 #endif
 
 Evaluators Select() {
   switch (simd::ActiveBackend()) {
     case simd::Backend::kAvx2:
 #if defined(PXML_HAVE_KERNEL_AVX2)
-      return {simd::Backend::kAvx2, &EvalOneAvx2, &ExpandAvx2, &EvalRunAvx2};
+      return {simd::Backend::kAvx2, &EvalOneAvx2, &ExpandAvx2};
 #else
       [[fallthrough]];
 #endif
     case simd::Backend::kSse2:
 #if defined(__SSE2__)
-      return {simd::Backend::kSse2, &EvalOneSse2, &ExpandSse2, &EvalRunSse2};
+      return {simd::Backend::kSse2, &EvalOneSse2, &ExpandSse2};
 #else
       [[fallthrough]];
 #endif
     case simd::Backend::kScalar:
       break;
   }
-  return {simd::Backend::kScalar, &EvalOneScalar, &ExpandScalar,
-          &EvalRunScalar};
+  return {simd::Backend::kScalar, &EvalOneScalar, &ExpandScalar};
 }
 
 }  // namespace pxml::kernel_batch

@@ -25,10 +25,7 @@
 ///   * independent kernels: per kernel, the vector backends precompute
 ///     the terms 1 − p_i·ε_i with lane arithmetic (one multiply, one
 ///     subtract per element — the exact scalar operation sequence) and
-///     then multiply the terms in ascending order; across a frontier run
-///     (RunFn) they instead batch one object per lane, each lane
-///     multiplying its own terms in that same ascending order —
-///     bit-identical either way;
+///     then multiply the terms in ascending order — bit-identical;
 ///   * per-label kernels: the vector backends use the Freeze-time subset
 ///     tables (FrozenInstance::Factor) and the documented MaskedDot
 ///     reduction order — equal to scalar within ulp-scale rounding,
@@ -47,23 +44,6 @@ using KernelFn = Status (*)(const FrozenInstance& frozen,
                             const double* eps, double& e_out,
                             std::uint64_t& ops_out);
 
-/// Evaluates a whole frontier run objs[0..count), writing each object's
-/// ε into eps[objs[k]]. Runs of consecutive independent kernels are
-/// batched across objects — one object per lane, every lane multiplying
-/// its own 1 − p·ε terms in exact scalar child order, so the batch is
-/// bit-identical to per-object evaluation at every lane width; all other
-/// kinds go through the per-kernel evaluator in frontier order.
-/// `ops_out` and `evals_out` accumulate row-ops and completed kernels
-/// with exactly the per-object loop's totals, including on error (the
-/// run stops at the first failing object). Callers may only use this
-/// when the pass has no memo cache and no QueryControl attached — both
-/// need per-object interleaving the batch deliberately drops.
-using RunFn = Status (*)(const FrozenInstance& frozen,
-                         const ProbabilisticInstance& instance,
-                         const ObjectId* objs, std::size_t count, LabelId l,
-                         const std::uint8_t* mark, double* eps,
-                         std::uint64_t& ops_out, std::uint64_t& evals_out);
-
 /// The subset-product expansion acc[m] = Π_b (m & 1<<b ? q[b] : 1−q[b])
 /// for m in [0, 2^bits), by tensor doubling in ascending bit order —
 /// per element the exact multiply sequence of the naive per-mask loop,
@@ -74,7 +54,6 @@ struct Evaluators {
   simd::Backend backend = simd::Backend::kScalar;
   KernelFn eval_one = nullptr;
   ExpandFn expand = nullptr;
-  RunFn eval_run = nullptr;
 };
 
 /// Resolves the evaluator table for simd::ActiveBackend(). Cheap (one

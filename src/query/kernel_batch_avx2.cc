@@ -23,13 +23,4 @@ void ExpandAvx2(const double* q, std::size_t bits, double* acc) {
   ExpandT<simd::Avx2Lanes>(q, bits, acc);
 }
 
-Status EvalRunAvx2(const FrozenInstance& frozen,
-                   const ProbabilisticInstance& instance, const ObjectId* objs,
-                   std::size_t count, LabelId l, const std::uint8_t* mark,
-                   double* eps, std::uint64_t& ops_out,
-                   std::uint64_t& evals_out) {
-  return EvalRunT<simd::Avx2Lanes>(&EvalOneAvx2, frozen, instance, objs,
-                                   count, l, mark, eps, ops_out, evals_out);
-}
-
 }  // namespace pxml::kernel_batch

@@ -1,7 +1,6 @@
 #ifndef PXML_QUERY_KERNEL_BATCH_IMPL_H_
 #define PXML_QUERY_KERNEL_BATCH_IMPL_H_
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -24,10 +23,6 @@ struct BatchScratch {
   simd::AlignedVector<double> terms;
   simd::AlignedVector<double> none;
   simd::AlignedVector<double> overlay;
-  // SoA staging of the cross-object independent-kernel batch: probability
-  // and child-ε terms interleaved W-wide (step-major), see EvalRunT.
-  simd::AlignedVector<double> stage_p;
-  simd::AlignedVector<double> stage_e;
 };
 BatchScratch& LocalBatchScratch();
 
@@ -131,100 +126,6 @@ Status EvalOneT(const FrozenInstance& frozen,
     }
   }
   return EvalOneScalarRef(frozen, instance, o, l, mark, eps, e_out, ops_out);
-}
-
-/// A frontier run under lane policy P: independent kernels are batched
-/// across objects, one object per lane. The dependent multiply chain of
-/// a single independent kernel cannot be shortened without changing its
-/// rounding order, so within-kernel vectorization is latency-bound; here
-/// W chains advance per multiply instead, while every lane still
-/// multiplies its own terms in exact scalar child order — bit-identical
-/// at any width. Non-independent kernels (and lone independents on
-/// 1-wide policies) fall through to `one` — the policy's own per-kernel
-/// evaluator from the Evaluators table, so e.g. the scalar backend's
-/// per-label kernels keep running the exact pre-vectorization reference.
-///
-/// Accounting matches the per-object loop on every path: `ops_out` grows
-/// by each kernel's full child count, `evals_out` by one per completed
-/// kernel, and on error both reflect exactly the objects completed
-/// before the failure (errors can only come from `one` — the batched
-/// chain itself cannot fail).
-template <typename P>
-Status EvalRunT(KernelFn one, const FrozenInstance& frozen,
-                const ProbabilisticInstance& instance, const ObjectId* objs,
-                std::size_t count, LabelId l, const std::uint8_t* mark,
-                double* eps, std::uint64_t& ops_out,
-                std::uint64_t& evals_out) {
-  constexpr std::size_t W = P::kWidth;
-  BatchScratch& bs = LocalBatchScratch();
-  std::size_t i = 0;
-  while (i < count) {
-    if (W == 1 ||
-        frozen.kernel(objs[i]).kind != FrozenOpfKind::kIndependent) {
-      double e = 0.0;
-      std::uint64_t ops = 0;
-      PXML_RETURN_IF_ERROR(one(frozen, instance, objs[i], l, mark,
-                               eps, e, ops));
-      eps[objs[i]] = e;
-      ops_out += ops;
-      ++evals_out;
-      ++i;
-      continue;
-    }
-    // Maximal run of consecutive independent kernels, W lanes at a time.
-    std::size_t run_end = i + 1;
-    while (run_end < count &&
-           frozen.kernel(objs[run_end]).kind == FrozenOpfKind::kIndependent) {
-      ++run_end;
-    }
-    for (std::size_t g = i; g < run_end; g += W) {
-      const std::size_t m = std::min(W, run_end - g);
-      const double* probs[W];
-      const ObjectId* kids[W];
-      std::size_t len[W];
-      std::size_t max_len = 0;
-      for (std::size_t j = 0; j < m; ++j) {
-        const FrozenInstance::Kernel& k = frozen.kernel(objs[g + j]);
-        const std::span<const double> ip = frozen.ind_probs(k);
-        probs[j] = ip.data();
-        kids[j] = frozen.ind_children(k).data();
-        len[j] = ip.size();
-        max_len = std::max(max_len, len[j]);
-        ops_out += ip.size();
-      }
-      if (bs.stage_p.size() < W * max_len) {
-        bs.stage_p.resize(W * max_len);
-        bs.stage_e.resize(W * max_len);
-      }
-      double* pt = bs.stage_p.data();
-      double* et = bs.stage_e.data();
-      // Step-major SoA staging; short and padding lanes get p = ε = 0,
-      // an exact ×1.0 step (see simd.h's ChainProducts contract).
-      for (std::size_t j = 0; j < m; ++j) {
-        std::size_t step = 0;
-        for (; step < len[j]; ++step) {
-          pt[step * W + j] = probs[j][step];
-          et[step * W + j] = eps[kids[j][step]];
-        }
-        for (; step < max_len; ++step) {
-          pt[step * W + j] = 0.0;
-          et[step * W + j] = 0.0;
-        }
-      }
-      for (std::size_t j = m; j < W; ++j) {
-        for (std::size_t step = 0; step < max_len; ++step) {
-          pt[step * W + j] = 0.0;
-          et[step * W + j] = 0.0;
-        }
-      }
-      double none[W];
-      P::ChainProducts(pt, et, max_len, none);
-      for (std::size_t j = 0; j < m; ++j) eps[objs[g + j]] = 1.0 - none[j];
-      evals_out += m;
-    }
-    i = run_end;
-  }
-  return Status::Ok();
 }
 
 /// The subset-weight expansion behind Evaluators::expand — see

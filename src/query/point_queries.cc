@@ -44,9 +44,8 @@ Result<double> PointQuery(const ProbabilisticInstance& instance,
                           PrunedWeakPathLayers(instance.weak(), path));
     if (!layers.back().Contains(object)) return 0.0;
   }
-  EpsilonPropagator prop(instance, parallel, hooks.cache, hooks.stats,
-                         hooks.frozen, hooks.scratch, hooks.trace,
-                         hooks.control);
+  EpsilonPropagator prop(instance, parallel, hooks.stats, hooks.frozen,
+                         hooks.scratch, hooks.trace, hooks.control);
   const TargetEps target{object, 1.0};
   return prop.RootEpsilon(path, std::span<const TargetEps>(&target, 1));
 }
@@ -59,12 +58,8 @@ Result<std::vector<double>> MultiPointQuery(
   targets.reserve(objects.size());
   for (ObjectId o : objects) targets.push_back(TargetEps{o, 1.0});
   std::vector<double> out(objects.size(), 0.0);
-  // The memo cache is deliberately not passed through: the shared pass
-  // walks per-target spines and memo hits could not change its answers
-  // (they return exactly the recomputed bits), only complicate it.
-  EpsilonPropagator prop(instance, parallel, /*cache=*/nullptr, hooks.stats,
-                         hooks.frozen, hooks.scratch, hooks.trace,
-                         hooks.control);
+  EpsilonPropagator prop(instance, parallel, hooks.stats, hooks.frozen,
+                         hooks.scratch, hooks.trace, hooks.control);
   PXML_RETURN_IF_ERROR(prop.RootEpsilonShared(path, targets, out));
   return out;
 }
@@ -87,9 +82,8 @@ Result<double> ExistsQuery(const ProbabilisticInstance& instance,
     for (ObjectId o : layers.back()) targets.push_back(TargetEps{o, 1.0});
   }
   if (targets.empty()) return 0.0;
-  EpsilonPropagator prop(instance, parallel, hooks.cache, hooks.stats,
-                         hooks.frozen, hooks.scratch, hooks.trace,
-                         hooks.control);
+  EpsilonPropagator prop(instance, parallel, hooks.stats, hooks.frozen,
+                         hooks.scratch, hooks.trace, hooks.control);
   return prop.RootEpsilon(path, targets);
 }
 
@@ -161,9 +155,8 @@ Result<double> ConditionProbability(const ProbabilisticInstance& instance,
     targets.push_back(TargetEps{o, e});
   }
   if (targets.empty()) return 0.0;
-  EpsilonPropagator prop(instance, parallel, hooks.cache, hooks.stats,
-                         hooks.frozen, hooks.scratch, hooks.trace,
-                         hooks.control);
+  EpsilonPropagator prop(instance, parallel, hooks.stats, hooks.frozen,
+                         hooks.scratch, hooks.trace, hooks.control);
   return prop.RootEpsilon(condition.path, targets);
 }
 

@@ -28,16 +28,15 @@ namespace pxml {
 ///
 /// The free functions are the convenience entry points (and what the
 /// QueryEngine facade wraps): `hooks` optionally plugs in the facade's
-/// ε-memo cache and operation counters; the defaults run uncached and
-/// uncounted, exactly the historical behavior.
+/// operation counters, frozen snapshot, tracing and serving control; the
+/// defaults run the generic interpreter uncounted.
 
-/// Optional memoization/observability plumbing for one query evaluation.
+/// Optional observability and dispatch plumbing for one query evaluation.
 /// `frozen` + `scratch` (both or neither) route the ε pass through the
 /// compiled kernels of an in-sync FrozenInstance snapshot (see
 /// query/frozen.h); an out-of-sync snapshot falls back to the generic
 /// interpreter.
 struct EpsilonHooks {
-  EpsilonMemoCache* cache = nullptr;
   EpsilonStats* stats = nullptr;
   const FrozenInstance* frozen = nullptr;
   EpsilonScratch* scratch = nullptr;
@@ -66,9 +65,8 @@ Result<double> PointQuery(const ProbabilisticInstance& instance,
 /// that cannot match p — but the pruned-layer build runs once and each
 /// object costs one O(depth) spine walk. The intra-batch sharing step of
 /// QueryEngine::Run (BatchOptions::share_batch_passes) is built on this.
-/// The hooks' ε-memo cache is not used (a shared pass neither consults
-/// nor feeds the memo); stats/trace/control apply to the single shared
-/// pass as a whole.
+/// The hooks' stats/trace/control apply to the single shared pass as a
+/// whole.
 Result<std::vector<double>> MultiPointQuery(
     const ProbabilisticInstance& instance, const PathExpression& path,
     std::span<const ObjectId> objects, const ParallelOptions& parallel = {},

@@ -20,9 +20,6 @@
 ///     multiply (or one multiply and one subtract) per element, in the
 ///     same per-element order as the scalar loop — they are bit-identical
 ///     to scalar regardless of lane width;
-///   * the cross-object chain primitive (ChainProducts) keeps each lane's
-///     product in its own exact scalar order — lanes never mix, so it is
-///     bit-identical to the per-object scalar loop at every width;
 ///   * the dot-product primitive (MaskedDot) accumulates lane l over the
 ///     rows r ≡ l (mod W) of the full-width prefix, combines lane sums as
 ///     ((s0 + s1) + (s2 + s3)) for W = 4 and (s0 + s1) for W = 2, then
@@ -104,7 +101,7 @@ template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T, 64>>;
 
 // ---------------------------------------------------------------------------
-// Lane policies. Each provides the same three primitives; the templated
+// Lane policies. Each provides the same primitives; the templated
 // kernel bodies in query/kernel_batch_impl.h are instantiated once per
 // policy. Memory operands use unaligned loads/stores (free when the
 // pointer happens to be aligned), so the primitives also work on caller
@@ -113,8 +110,6 @@ using AlignedVector = std::vector<T, AlignedAllocator<T, 64>>;
 
 /// Scalar reference policy (also the only policy on non-x86 builds).
 struct ScalarLanes {
-  static constexpr std::size_t kWidth = 1;
-
   /// out[i] = 1 − p[i]·eps[idx[i]] for i in [0, n).
   static void Terms(const double* p, const std::uint32_t* idx,
                     const double* eps, double* out, std::size_t n) {
@@ -155,27 +150,12 @@ struct ScalarLanes {
     for (std::size_t r = 0; r < n; ++r) s += p[r] * t[r];
     return s;
   }
-
-  /// The cross-object independent-kernel chain: lane j accumulates
-  /// none[j] = Π_i (1 − pt[i·W + j]·et[i·W + j]) over i ascending. Each
-  /// lane is one object's product in its exact scalar child order (one
-  /// multiply, one subtract, one multiply per step — never fused), so
-  /// every lane is bit-identical to the scalar per-object loop; padding
-  /// steps use pt = et = 0, an exact ×1.0.
-  static void ChainProducts(const double* pt, const double* et,
-                            std::size_t steps, double* none_out) {
-    double none = 1.0;
-    for (std::size_t i = 0; i < steps; ++i) none *= 1.0 - pt[i] * et[i];
-    none_out[0] = none;
-  }
 };
 
 #if defined(__SSE2__)
 /// SSE2 policy (x86-64 baseline). No gather instruction: index loads are
 /// scalar, the arithmetic is 2-wide.
 struct Sse2Lanes {
-  static constexpr std::size_t kWidth = 2;
-
   static void Terms(const double* p, const std::uint32_t* idx,
                     const double* eps, double* out, std::size_t n) {
     const __m128d ones = _mm_set1_pd(1.0);
@@ -243,18 +223,6 @@ struct Sse2Lanes {
     for (; r < n; ++r) s += p[r] * t[r];
     return s;
   }
-
-  static void ChainProducts(const double* pt, const double* et,
-                            std::size_t steps, double* none_out) {
-    const __m128d ones = _mm_set1_pd(1.0);
-    __m128d none = ones;
-    for (std::size_t i = 0; i < steps; ++i) {
-      const __m128d pv = _mm_loadu_pd(pt + 2 * i);
-      const __m128d ev = _mm_loadu_pd(et + 2 * i);
-      none = _mm_mul_pd(none, _mm_sub_pd(ones, _mm_mul_pd(pv, ev)));
-    }
-    _mm_storeu_pd(none_out, none);
-  }
 };
 #endif  // __SSE2__
 
@@ -262,8 +230,6 @@ struct Sse2Lanes {
 /// AVX2 policy (compiled only into query/kernel_batch_avx2.cc, which is
 /// built with -mavx2 and dispatched to only after the cpuid probe).
 struct Avx2Lanes {
-  static constexpr std::size_t kWidth = 4;
-
   static void Terms(const double* p, const std::uint32_t* idx,
                     const double* eps, double* out, std::size_t n) {
     const __m256d ones = _mm256_set1_pd(1.0);
@@ -334,18 +300,6 @@ struct Avx2Lanes {
     double s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
     for (; r < n; ++r) s += p[r] * t[r];
     return s;
-  }
-
-  static void ChainProducts(const double* pt, const double* et,
-                            std::size_t steps, double* none_out) {
-    const __m256d ones = _mm256_set1_pd(1.0);
-    __m256d none = ones;
-    for (std::size_t i = 0; i < steps; ++i) {
-      const __m256d pv = _mm256_loadu_pd(pt + 4 * i);
-      const __m256d ev = _mm256_loadu_pd(et + 4 * i);
-      none = _mm256_mul_pd(none, _mm256_sub_pd(ones, _mm256_mul_pd(pv, ev)));
-    }
-    _mm256_storeu_pd(none_out, none);
   }
 };
 #endif  // __AVX2__

@@ -117,12 +117,11 @@ void ExpectBitEqual(double a, double b, const char* what) {
       << what << ": " << a << " != " << b;
 }
 
-/// Stateless reference configuration: no caches, no frozen kernels, no
+/// Reference configuration: no answer cache, no frozen kernels, no
 /// sharing — bit-exact generic evaluation on every run.
 BatchOptions Reference() {
   BatchOptions options;
   options.threads = 1;
-  options.cache = false;
   options.frozen = false;
   return options;
 }
@@ -500,7 +499,6 @@ TEST(SharedPassTest, SiblingBatchAccountingEqualsSerialSum) {
     SCOPED_TRACE(threads);
     BatchOptions off;
     off.threads = threads;
-    off.cache = false;  // no ε-memo: row-op totals are pure per query
     off.share_batch_passes = false;
     BatchOptions on = off;
     on.share_batch_passes = true;

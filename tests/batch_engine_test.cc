@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "query/batch_engine.h"
+#include "query/engine.h"
 #include "query/point_queries.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -194,11 +194,8 @@ TEST(ParallelForTest, SerialWhenPoolIsNull) {
 // ---------------------------------------------------------------------------
 // Batch engine
 
-/// What the retired BatchQueryEngine wrapper used to configure: borrowing
-/// and stateless (no ε-memo cache, no frozen snapshot), i.e. bit-exact
-/// generic evaluation on every run.
-BatchOptions Uncached(BatchOptions options) {
-  options.cache = false;
+/// No frozen snapshot: bit-exact generic evaluation on every run.
+BatchOptions Generic(BatchOptions options) {
   options.frozen = false;
   return options;
 }
@@ -283,7 +280,7 @@ TEST_F(BatchEngineTest, ManyQueriesOneInstanceHammer) {
 
   BatchOptions serial_opts;
   serial_opts.threads = 1;
-  QueryEngine serial(&inst, Uncached(serial_opts));
+  QueryEngine serial(&inst, Generic(serial_opts));
   auto expected = serial.Run(queries);
   ASSERT_TRUE(expected.ok()) << expected.status();
 
@@ -291,9 +288,9 @@ TEST_F(BatchEngineTest, ManyQueriesOneInstanceHammer) {
     BatchOptions opts;
     opts.threads = threads;
     opts.min_parallel_width = 1;
-    QueryEngine engine(&inst, Uncached(opts));
+    QueryEngine engine(&inst, Generic(opts));
     BatchStats stats;
-    auto answers = engine.Run(queries, &stats);
+    auto answers = engine.Run(queries, {}, &stats);
     ASSERT_TRUE(answers.ok()) << answers.status();
     ExpectSameAnswers(*answers, *expected);
     EXPECT_EQ(stats.threads, threads);
@@ -312,14 +309,14 @@ TEST_F(BatchEngineTest, ResultsIndependentOfScheduling) {
   BatchOptions opts;
   opts.threads = 4;
   opts.min_parallel_width = 1;
-  QueryEngine engine(&inst, Uncached(opts));
+  QueryEngine engine(&inst, Generic(opts));
   auto first = engine.Run(queries);
   ASSERT_TRUE(first.ok());
   auto second = engine.Run(queries);
   ASSERT_TRUE(second.ok());
   ExpectSameAnswers(*first, *second);
 
-  QueryEngine fresh(&inst, Uncached(opts));
+  QueryEngine fresh(&inst, Generic(opts));
   auto third = fresh.Run(queries);
   ASSERT_TRUE(third.ok());
   ExpectSameAnswers(*first, *third);
@@ -329,10 +326,10 @@ TEST_F(BatchEngineTest, SerialPathUsesNoPool) {
   const ProbabilisticInstance inst = MakeWorkloadInstance();
   BatchOptions opts;
   opts.threads = 1;
-  QueryEngine engine(&inst, Uncached(opts));
+  QueryEngine engine(&inst, Generic(opts));
   EXPECT_EQ(engine.threads(), 1u);
   BatchStats stats;
-  auto answers = engine.Run(MakeQueries(inst, 10), &stats);
+  auto answers = engine.Run(MakeQueries(inst, 10), {}, &stats);
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(stats.threads, 1u);
   EXPECT_EQ(stats.tasks, 0u);       // no pool tasks on the serial path
@@ -360,7 +357,7 @@ TEST_F(BatchEngineTest, MatchesDirectSerialOperators) {
   BatchOptions opts;
   opts.threads = 4;
   opts.min_parallel_width = 1;
-  QueryEngine engine(&inst, Uncached(opts));
+  QueryEngine engine(&inst, Generic(opts));
   auto answers = engine.Run(queries);
   ASSERT_TRUE(answers.ok());
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -387,7 +384,7 @@ TEST_F(BatchEngineTest, PerQueryFailuresDoNotPoisonTheBatch) {
 
   BatchOptions opts;
   opts.threads = 2;
-  QueryEngine engine(&inst, Uncached(opts));
+  QueryEngine engine(&inst, Generic(opts));
   auto answers = engine.Run(queries);
   ASSERT_TRUE(answers.ok());
   EXPECT_TRUE((*answers)[0].status.ok());
@@ -404,48 +401,28 @@ TEST_F(BatchEngineTest, QueueDepthIsScopedPerBatch) {
   // Keep intra-query passes serial so task counts are exactly one per
   // query and the single-query batch can only ever reach depth 1.
   opts.min_parallel_width = 1000000;
-  QueryEngine engine(&inst, Uncached(opts));
+  QueryEngine engine(&inst, Generic(opts));
 
   BatchStats big;
-  auto a = engine.Run(MakeQueries(inst, 300), &big);
+  auto a = engine.Run(MakeQueries(inst, 300), {}, &big);
   ASSERT_TRUE(a.ok()) << a.status();
   ASSERT_GE(big.max_queue_depth, 2u);
 
   BatchStats small;
-  auto b = engine.Run(MakeQueries(inst, 1), &small);
+  auto b = engine.Run(MakeQueries(inst, 1), {}, &small);
   ASSERT_TRUE(b.ok()) << b.status();
   EXPECT_LE(small.max_queue_depth, 1u);
 }
 
 TEST_F(BatchEngineTest, EmptyBatchIsOk) {
   const ProbabilisticInstance inst = MakeWorkloadInstance();
-  QueryEngine engine(&inst, Uncached(BatchOptions{.threads = 2}));
+  QueryEngine engine(&inst, Generic(BatchOptions{.threads = 2}));
   BatchStats stats;
-  auto answers = engine.Run({}, &stats);
+  auto answers = engine.Run({}, {}, &stats);
   ASSERT_TRUE(answers.ok());
   EXPECT_TRUE(answers->empty());
   EXPECT_EQ(stats.tasks, 0u);
 }
-
-// The retired BatchQueryEngine wrapper survives as a deprecated
-// header-only shim; this is its one remaining in-repo use, pinning the
-// compatibility contract: same construction surface, answers
-// bit-identical to a stateless borrowing QueryEngine.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST_F(BatchEngineTest, DeprecatedWrapperShimMatchesQueryEngine) {
-  const ProbabilisticInstance inst = MakeWorkloadInstance();
-  const std::vector<BatchQuery> queries = MakeQueries(inst, 25);
-  BatchQueryEngine wrapper(inst, BatchOptions{.threads = 2});
-  EXPECT_EQ(wrapper.threads(), 2u);
-  QueryEngine direct(&inst, Uncached(BatchOptions{.threads = 2}));
-  auto from_wrapper = wrapper.Run(queries);
-  ASSERT_TRUE(from_wrapper.ok()) << from_wrapper.status();
-  auto from_direct = direct.Run(queries);
-  ASSERT_TRUE(from_direct.ok()) << from_direct.status();
-  ExpectSameAnswers(*from_wrapper, *from_direct);
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace pxml

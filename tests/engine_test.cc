@@ -1,10 +1,10 @@
-// QueryEngine facade tests: ε-memo cache correctness (cached answers are
-// bit-identical to uncached ones and to the possible-worlds oracle across
-// randomized mutate/query interleavings), precise invalidation (a local
-// update recomputes only the dirty spine — asserted on the operation
-// counter, not wall clock), the mutation API (UpdateOpf / UpdateVpf /
-// ReplaceSubtree, kStale on racing queries), and the LRU bound. The whole
-// binary is expected to be clean under TSAN (-DPXML_SANITIZE=thread).
+// QueryEngine facade tests: the default engine's answers are
+// bit-identical to generic evaluation and to the possible-worlds oracle
+// across randomized mutate/query interleavings and targeted local
+// updates, snapshot isolation, and the mutation API (UpdateOpf /
+// UpdateVpf / ReplaceSubtree, kStale for require_latest readers). The
+// whole binary is expected to be clean under TSAN
+// (-DPXML_SANITIZE=thread).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "query/engine.h"
 #include "query/epsilon.h"
 #include "query/point_queries.h"
@@ -116,27 +117,23 @@ void ExpectBitEqual(double a, double b, const char* what) {
       << what << ": " << a << " != " << b;
 }
 
-/// Stateless reference configuration (what the retired BatchQueryEngine
-/// wrapper forced): no Îµ-memo cache, no frozen kernels â bit-exact
-/// generic evaluation on every run.
-BatchOptions Uncached(BatchOptions options) {
-  options.cache = false;
+/// Reference configuration: no frozen kernels — bit-exact generic
+/// evaluation on every run.
+BatchOptions Generic(BatchOptions options) {
   options.frozen = false;
   return options;
 }
 
-/// The RunOne spelling of the deprecated ExistsProbability convenience.
+/// P(∃ path) through RunOne, with the answer's status as a Result.
 Result<double> ExistsP(const QueryEngine& engine, const PathExpression& path,
-                       RunOptions options = {}) {
-  QueryRequest request;
-  request.require_latest = options.require_latest;
+                       const QueryRequest& request = {}) {
   BatchAnswer answer = engine.RunOne(BatchQuery::Exists(path), request);
   if (!answer.status.ok()) return answer.status;
   return answer.probability;
 }
 
 // ---------------------------------------------------------------------------
-// Cached vs uncached differential
+// Default engine vs generic evaluation
 
 TEST(QueryEngineTest, CachedAnswersBitIdenticalToUncachedAcrossThreads) {
   GeneratorConfig config;
@@ -168,22 +165,21 @@ TEST(QueryEngineTest, CachedAnswersBitIdenticalToUncachedAcrossThreads) {
     }
   }
 
-  BatchOptions uncached_opts;
-  uncached_opts.threads = 1;
-  QueryEngine uncached(&inst, Uncached(uncached_opts));
-  auto expected = uncached.Run(queries);
+  BatchOptions generic_opts;
+  generic_opts.threads = 1;
+  QueryEngine generic(&inst, Generic(generic_opts));
+  auto expected = generic.Run(queries);
   ASSERT_TRUE(expected.ok()) << expected.status();
 
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
     BatchOptions opts;
     opts.threads = threads;
     opts.min_parallel_width = 1;
-    QueryEngine engine(inst, opts);  // owning copy, cache on
-    // Run the batch twice: cold pass fills the cache, warm pass is
-    // served from it. Both must match the uncached serial answers.
+    QueryEngine engine(inst, opts);  // owning copy, default options
+    // Run the batch twice on one engine: both runs must match the
+    // generic serial answers.
     for (int pass = 0; pass < 2; ++pass) {
-      BatchStats stats;
-      auto answers = engine.Run(queries, &stats);
+      auto answers = engine.Run(queries);
       ASSERT_TRUE(answers.ok()) << answers.status();
       ASSERT_EQ(answers->size(), expected->size());
       for (std::size_t i = 0; i < answers->size(); ++i) {
@@ -191,50 +187,56 @@ TEST(QueryEngineTest, CachedAnswersBitIdenticalToUncachedAcrossThreads) {
         ExpectBitEqual((*answers)[i].probability, (*expected)[i].probability,
                        "query probability");
       }
-      EXPECT_GT(stats.cache_lookups, 0u);
-      if (pass == 1) {
-        EXPECT_GT(stats.cache_hits, 0u);
-      }
     }
   }
 }
 
-TEST(QueryEngineTest, RepeatBatchServedEntirelyFromCache) {
-  const ProbabilisticInstance inst = MakeUniformTree(4, 3, 0xAB);
-  QueryEngine engine(inst, BatchOptions{.threads = 1});
-  const PathExpression path = FullDepthPath(inst, 4);
-  const std::vector<BatchQuery> queries = {
-      BatchQuery::Exists(path), BatchQuery::ValueEquals(path, Value("v0"))};
+// ---------------------------------------------------------------------------
+// Local updates
 
-  BatchStats cold;
-  ASSERT_TRUE(engine.Run(queries, &cold).ok());
-  EXPECT_GT(cold.epsilon_recomputed, 0u);
-  EXPECT_EQ(cold.cache_hits, 0u);
-
-  BatchStats warm;
-  ASSERT_TRUE(engine.Run(queries, &warm).ok());
-  // Identical batch, unchanged instance: every per-object ε is memoized.
-  EXPECT_EQ(warm.epsilon_recomputed, 0u);
-  EXPECT_EQ(warm.cache_misses, 0u);
-  EXPECT_EQ(warm.cache_hits, warm.cache_lookups);
-  EXPECT_EQ(warm.cache_hits, cold.cache_lookups);
+/// The answers of `engine` to `queries` equal, bit for bit, a fresh
+/// generic engine's answers over the engine's committed instance.
+void ExpectMatchesFreshGeneric(const QueryEngine& engine,
+                               const std::vector<BatchQuery>& queries,
+                               const char* what) {
+  auto answers = engine.Run(queries);
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  QueryEngine generic(&engine.instance(), Generic(BatchOptions{.threads = 1}));
+  auto fresh = generic.Run(queries);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE((*answers)[i].status.ok()) << (*answers)[i].status;
+    ExpectBitEqual((*answers)[i].probability, (*fresh)[i].probability, what);
+  }
 }
 
-// ---------------------------------------------------------------------------
-// Precise invalidation (asserted on the ε-recompute counter)
+/// Process-wide totals of frozen kernels that FrozenInstance::Refreeze
+/// recompiled (the dirty spine) vs carried over unchanged.
+struct RefreezeCounts {
+  std::uint64_t recompiled = 0;
+  std::uint64_t reused = 0;
+};
+
+RefreezeCounts RefreezeCountsNow() {
+  obs::Registry& registry = obs::Registry::Global();
+  return {registry.GetCounter("pxml.frozen.refreeze_recompiled").value(),
+          registry.GetCounter("pxml.frozen.refreeze_reused").value()};
+}
+
+/// The Refreeze activity between two RefreezeCountsNow() reads.
+RefreezeCounts RefreezeSince(const RefreezeCounts& before) {
+  const RefreezeCounts now = RefreezeCountsNow();
+  return {now.recompiled - before.recompiled, now.reused - before.reused};
+}
 
 TEST(QueryEngineTest, LocalUpdateRecomputesOnlyDirtySpine) {
-  // The paper's balanced-tree workload shape: depth 6, branching 3 —
-  // 364 internal objects on the full-depth path.
+  // The paper's balanced-tree workload shape: depth 6, branching 3.
   const std::uint32_t depth = 6;
   const ProbabilisticInstance inst = MakeUniformTree(depth, 3, 0x7EE);
   QueryEngine engine(inst, BatchOptions{.threads = 1});
   const std::vector<BatchQuery> queries = {
       BatchQuery::Exists(FullDepthPath(inst, depth))};
-
-  BatchStats cold;
-  ASSERT_TRUE(engine.Run(queries, &cold).ok());
-  ASSERT_GT(cold.epsilon_recomputed, 100u);
+  ExpectMatchesFreshGeneric(engine, queries, "before the update");
 
   // One local OPF update at a leaf-parent (deepest internal level): the
   // last internal object added is one.
@@ -247,29 +249,22 @@ TEST(QueryEngineTest, LocalUpdateRecomputesOnlyDirtySpine) {
   }
   ASSERT_NE(leaf_parent, kInvalidId);
   Rng rng(0xD1);
+  const RefreezeCounts before = RefreezeCountsNow();
   ASSERT_TRUE(
       engine.UpdateOpf(leaf_parent, RandomOpfFor(engine.instance(),
                                                  leaf_parent, rng))
           .ok());
 
-  BatchStats warm;
-  auto warm_answers = engine.Run(queries, &warm);
-  ASSERT_TRUE(warm_answers.ok());
-  // Only the updated object's ancestor spine recomputes: O(depth), and
-  // >= 10x fewer ε evaluations than the cold pass (the acceptance bar).
-  EXPECT_GE(warm.epsilon_recomputed, 1u);
-  EXPECT_LE(warm.epsilon_recomputed, depth);
-  EXPECT_GE(cold.epsilon_recomputed, 10 * warm.epsilon_recomputed);
-  EXPECT_GT(warm.cache_invalidated, 0u);
+  // Publishing the update recompiles only the updated object's ancestor
+  // spine — O(depth) kernels — and carries every other kernel over.
+  const RefreezeCounts spent = RefreezeSince(before);
+  EXPECT_GE(spent.recompiled, 1u);
+  EXPECT_LE(spent.recompiled, depth);
+  EXPECT_GE(spent.reused, 10 * spent.recompiled);
 
-  // And the cached warm answer equals a from-scratch uncached pass over
-  // the mutated instance, bit for bit.
-  QueryEngine uncached(&engine.instance(),
-                       Uncached(BatchOptions{.threads = 1}));
-  auto fresh = uncached.Run(queries);
-  ASSERT_TRUE(fresh.ok());
-  ExpectBitEqual((*warm_answers)[0].probability, (*fresh)[0].probability,
-                 "post-update exists probability");
+  // And the answer over the mutated instance equals a from-scratch
+  // generic pass, bit for bit.
+  ExpectMatchesFreshGeneric(engine, queries, "post-update exists probability");
 }
 
 TEST(QueryEngineTest, UpdateAtRootInvalidatesOnlyRootEntry) {
@@ -277,27 +272,18 @@ TEST(QueryEngineTest, UpdateAtRootInvalidatesOnlyRootEntry) {
   QueryEngine engine(inst, BatchOptions{.threads = 1});
   const std::vector<BatchQuery> queries = {
       BatchQuery::Exists(FullDepthPath(inst, 5))};
-  BatchStats cold;
-  ASSERT_TRUE(engine.Run(queries, &cold).ok());
+  ExpectMatchesFreshGeneric(engine, queries, "before the update");
 
   // The root has no ancestors, so a root update dirties exactly one
-  // subtree-change stamp — its own.
+  // subtree-change stamp — its own — and one kernel recompiles.
   Rng rng(0xD2);
   const ObjectId root = engine.instance().weak().root();
+  const RefreezeCounts before = RefreezeCountsNow();
   ASSERT_TRUE(
       engine.UpdateOpf(root, RandomOpfFor(engine.instance(), root, rng)).ok());
+  EXPECT_EQ(RefreezeSince(before).recompiled, 1u);
 
-  BatchStats warm;
-  auto answers = engine.Run(queries, &warm);
-  ASSERT_TRUE(answers.ok());
-  EXPECT_EQ(warm.epsilon_recomputed, 1u);
-
-  QueryEngine uncached(&engine.instance(),
-                       Uncached(BatchOptions{.threads = 1}));
-  auto fresh = uncached.Run(queries);
-  ASSERT_TRUE(fresh.ok());
-  ExpectBitEqual((*answers)[0].probability, (*fresh)[0].probability,
-                 "post-root-update probability");
+  ExpectMatchesFreshGeneric(engine, queries, "post-root-update probability");
 }
 
 TEST(QueryEngineTest, LeafVpfUpdateRecomputesOnlyLeafSpine) {
@@ -307,38 +293,30 @@ TEST(QueryEngineTest, LeafVpfUpdateRecomputesOnlyLeafSpine) {
   const PathExpression path = FullDepthPath(inst, depth);
   const std::vector<BatchQuery> queries = {
       BatchQuery::ValueEquals(path, Value("v0"))};
-  BatchStats cold;
-  ASSERT_TRUE(engine.Run(queries, &cold).ok());
+  ExpectMatchesFreshGeneric(engine, queries, "before the update");
 
-  // Update one leaf's VPF: its survival ε changes, so exactly its
-  // ancestor spine must recompute (the leaf itself carries no ε entry).
+  // Update one leaf's VPF: its survival ε changes, so exactly the leaf
+  // and its ancestor spine recompile.
   ObjectId leaf = kInvalidId;
   for (ObjectId o : inst.weak().Objects()) {
     if (inst.weak().IsLeaf(o)) leaf = o;
   }
   ASSERT_NE(leaf, kInvalidId);
   Rng rng(0xD3);
+  const RefreezeCounts before = RefreezeCountsNow();
   ASSERT_TRUE(engine.UpdateVpf(leaf, RandomVpf(rng)).ok());
 
-  BatchStats warm;
-  auto answers = engine.Run(queries, &warm);
-  ASSERT_TRUE(answers.ok());
-  EXPECT_GE(warm.epsilon_recomputed, 1u);
-  EXPECT_LE(warm.epsilon_recomputed, depth);
-  EXPECT_GE(cold.epsilon_recomputed, 10 * warm.epsilon_recomputed);
+  const RefreezeCounts spent = RefreezeSince(before);
+  EXPECT_GE(spent.recompiled, 1u);
+  EXPECT_LE(spent.recompiled, depth + 1);
+  EXPECT_GE(spent.reused, 10 * spent.recompiled);
 
-  QueryEngine uncached(&engine.instance(),
-                       Uncached(BatchOptions{.threads = 1}));
-  auto fresh = uncached.Run(queries);
-  ASSERT_TRUE(fresh.ok());
-  ExpectBitEqual((*answers)[0].probability, (*fresh)[0].probability,
-                 "post-VPF-update probability");
+  ExpectMatchesFreshGeneric(engine, queries, "post-VPF-update probability");
 }
 
-TEST(QueryEngineTest, UpdateOutsideQueriedPathRecomputesOnlyRoot) {
+TEST(QueryEngineTest, UpdateOutsideQueriedPathLeavesAnswerUnchanged) {
   // Two sibling subtrees under the root, reached by different labels;
-  // the query descends into A, the update lands in B. Only the root —
-  // the single shared ancestor — recomputes.
+  // the query descends into A, the update lands in B.
   ProbabilisticInstance inst;
   WeakInstance& weak = inst.weak();
   const LabelId a = weak.dict().InternLabel("a");
@@ -365,34 +343,28 @@ TEST(QueryEngineTest, UpdateOutsideQueriedPathRecomputesOnlyRoot) {
   ASSERT_TRUE(inst.SetOpf(b1, std::move(b1_opf)).ok());
 
   QueryEngine engine(inst, BatchOptions{.threads = 1});
-  const std::vector<BatchQuery> queries = {
-      BatchQuery::Exists(MakePath(engine.instance().dict(), root, {"a", "a"}))};
-  BatchStats cold;
-  ASSERT_TRUE(engine.Run(queries, &cold).ok());
-  EXPECT_EQ(cold.epsilon_recomputed, 2u);  // root and a1
-
-  // Mutate b1 (outside the queried path). Its spine is {b1, root}: only
-  // the root's memo entry intersects the query, so exactly one ε
-  // evaluation reruns — and the answer is unchanged (B is pruned away).
-  auto before = ExistsP(engine, queries[0].path);
+  const PathExpression path =
+      MakePath(engine.instance().dict(), root, {"a", "a"});
+  auto before = ExistsP(engine, path);
   ASSERT_TRUE(before.ok());
+
+  // Mutate b1, outside the queried path: B is pruned away, so the
+  // answer must not move.
   auto new_opf = std::make_unique<IndependentOpf>();
   ASSERT_TRUE(new_opf->AddChild(b2, 0.9).ok());
   ASSERT_TRUE(engine.UpdateOpf(b1, std::move(new_opf)).ok());
 
-  BatchStats warm;
-  auto answers = engine.Run(queries, &warm);
-  ASSERT_TRUE(answers.ok());
-  EXPECT_EQ(warm.epsilon_recomputed, 1u);
-  ExpectBitEqual((*answers)[0].probability, *before,
+  auto after = ExistsP(engine, path);
+  ASSERT_TRUE(after.ok());
+  ExpectBitEqual(*after, *before,
                  "update outside the queried path must not change the answer");
 }
 
 // ---------------------------------------------------------------------------
-// Randomized mutate/query interleavings, cache vs no-cache vs oracle
+// Randomized mutate/query interleavings, default vs generic vs oracle
 
 TEST(QueryEngineTest, RandomizedInterleavingsMatchUncachedAndWorldsOracle) {
-  // Small enough to enumerate worlds, deep enough to exercise the cache.
+  // Small enough to enumerate worlds, deep enough to exercise Refreeze.
   const std::uint32_t depth = 2;
   const std::uint32_t branching = 2;
   constexpr int kRounds = 12;
@@ -442,17 +414,17 @@ TEST(QueryEngineTest, RandomizedInterleavingsMatchUncachedAndWorldsOracle) {
       ASSERT_TRUE(single.ok());
       answers.push_back(*single);
 
-      // Differential: the cached facade vs an uncached engine vs the
+      // Differential: the default facade vs a generic engine vs the
       // possible-worlds oracle, on the current (mutated) instance.
-      QueryEngine uncached(&engine.instance(),
-                           Uncached(BatchOptions{.threads = 1}));
-      auto fresh = uncached.Run({BatchQuery::Point(cond->path, cond->object),
-                                 BatchQuery::Exists(cond->path),
-                                 BatchQuery::ValueEquals(cond->path, v)});
+      QueryEngine generic(&engine.instance(),
+                          Generic(BatchOptions{.threads = 1}));
+      auto fresh = generic.Run({BatchQuery::Point(cond->path, cond->object),
+                                BatchQuery::Exists(cond->path),
+                                BatchQuery::ValueEquals(cond->path, v)});
       ASSERT_TRUE(fresh.ok());
       for (std::size_t i = 0; i < fresh->size(); ++i) {
         ExpectBitEqual((*batch)[i].probability, (*fresh)[i].probability,
-                       "cached vs uncached");
+                       "default vs generic");
       }
       if (threads == 1) {
         auto oracle_point = PointQueryViaWorlds(engine.instance(), cond->path,
@@ -515,10 +487,10 @@ TEST(QueryEngineTest, QueriesDuringMutationScopeReadTheCommittedEpoch) {
 
     // require_latest restores the fail-fast contract for readers that
     // must not serve a superseded snapshot.
-    RunOptions latest;
+    QueryRequest latest;
     latest.require_latest = true;
     auto strict_batch =
-        engine.Run({BatchQuery::Exists(path)}, nullptr, nullptr, latest);
+        engine.Run({BatchQuery::Exists(path)}, latest);
     ASSERT_TRUE(strict_batch.ok());
     EXPECT_EQ((*strict_batch)[0].status.code(), StatusCode::kStale);
     auto strict = ExistsP(engine, path, latest);
@@ -531,7 +503,7 @@ TEST(QueryEngineTest, QueriesDuringMutationScopeReadTheCommittedEpoch) {
   ASSERT_TRUE(after.ok());
   ASSERT_TRUE((*after)[0].status.ok()) << (*after)[0].status;
   EXPECT_EQ((*after)[0].profile.epoch, 2u);
-  RunOptions latest;
+  QueryRequest latest;
   latest.require_latest = true;
   auto strict_after = ExistsP(engine, path, latest);
   ASSERT_TRUE(strict_after.ok()) << strict_after.status();
@@ -585,18 +557,9 @@ TEST(QueryEngineTest, ConcurrentMutateAndQueryHammer) {
   writer.join();
   (void)stale_answers;  // racing is timing-dependent; OKs are guaranteed
 
-  // Post-race differential: the cache must have survived 200 updates.
-  auto cached = engine.Run(queries);
-  ASSERT_TRUE(cached.ok());
-  QueryEngine uncached(&engine.instance(),
-                       Uncached(BatchOptions{.threads = 1}));
-  auto fresh = uncached.Run(queries);
-  ASSERT_TRUE(fresh.ok());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE((*cached)[i].status.ok());
-    ExpectBitEqual((*cached)[i].probability, (*fresh)[i].probability,
-                   "post-hammer differential");
-  }
+  // Post-race differential: after 200 updates the engine still answers
+  // like a fresh generic engine.
+  ExpectMatchesFreshGeneric(engine, queries, "post-hammer differential");
   EXPECT_GT(ok_answers + stale_answers, 0u);
 }
 
@@ -677,7 +640,6 @@ TEST(QueryEngineTest, ReplaceSubtreeGraftsDonorInterpretation) {
       *original.weak().dict().FindObject("n1");  // first child of n0
   QueryEngine engine(original, BatchOptions{.threads = 1});
   const PathExpression path = FullDepthPath(original, depth);
-  ASSERT_TRUE(engine.Run({BatchQuery::Exists(path)}).ok());  // warm the cache
   ASSERT_TRUE(engine.ReplaceSubtree(at, donor, at).ok());
 
   // Expected: original, with every subtree object's OPF/VPF replaced by
@@ -698,24 +660,18 @@ TEST(QueryEngineTest, ReplaceSubtreeGraftsDonorInterpretation) {
     }
   }
 
-  BatchStats stats;
   auto grafted = engine.Run({BatchQuery::Exists(path),
-                             BatchQuery::ValueEquals(path, Value("v0"))},
-                            &stats);
-  ASSERT_TRUE(grafted.ok());
-  QueryEngine uncached(&expected, Uncached(BatchOptions{.threads = 1}));
-  auto fresh = uncached.Run({BatchQuery::Exists(path),
                              BatchQuery::ValueEquals(path, Value("v0"))});
+  ASSERT_TRUE(grafted.ok());
+  QueryEngine generic(&expected, Generic(BatchOptions{.threads = 1}));
+  auto fresh = generic.Run({BatchQuery::Exists(path),
+                            BatchQuery::ValueEquals(path, Value("v0"))});
   ASSERT_TRUE(fresh.ok());
   for (std::size_t i = 0; i < 2; ++i) {
     ASSERT_TRUE((*grafted)[i].status.ok()) << (*grafted)[i].status;
     ExpectBitEqual((*grafted)[i].probability, (*fresh)[i].probability,
                    "grafted vs rebuilt");
   }
-  // The graft is a ℘-only change: no structure flush, and the sibling
-  // subtree's memo entries survive (some hits on the re-query).
-  EXPECT_EQ(engine.cache_stats().flushes, 0u);
-  EXPECT_GT(stats.cache_hits, 0u);
 }
 
 TEST(QueryEngineTest, ReplaceSubtreeRejectsMismatchesAndUnknownRoots) {
@@ -736,31 +692,6 @@ TEST(QueryEngineTest, ReplaceSubtreeRejectsMismatchesAndUnknownRoots) {
                                 donor.weak().root())
                 .code(),
             StatusCode::kInvalidArgument);
-}
-
-// ---------------------------------------------------------------------------
-// LRU bound
-
-TEST(QueryEngineTest, CacheRespectsLruBound) {
-  const ProbabilisticInstance inst = MakeUniformTree(4, 3, 0xCC);
-  BatchOptions opts;
-  opts.threads = 1;
-  // A byte budget of exactly four entry footprints admits four entries.
-  opts.cache_bytes = 4 * EpsilonMemoCache::kBytesPerEntry;
-  QueryEngine engine(inst, opts);
-  BatchStats stats;
-  ASSERT_TRUE(
-      engine.Run({BatchQuery::Exists(FullDepthPath(inst, 4))}, &stats).ok());
-  EXPECT_LE(engine.cache_size(), 4u);
-  EXPECT_GT(stats.cache_evictions, 0u);
-  // A budget below one entry's footprint is clamped to one entry, never
-  // unbounded.
-  BatchOptions tiny;
-  tiny.threads = 1;
-  tiny.cache_bytes = 0;
-  QueryEngine clamped(inst, tiny);
-  ASSERT_TRUE(clamped.Run({BatchQuery::Exists(FullDepthPath(inst, 4))}).ok());
-  EXPECT_LE(clamped.cache_size(), 1u);
 }
 
 }  // namespace

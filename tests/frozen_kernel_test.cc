@@ -36,11 +36,9 @@
 namespace pxml {
 namespace {
 
-/// The RunOne spelling of the deprecated ExistsProbability convenience.
+/// P(∃ path) through RunOne, with the answer's status as a Result.
 Result<double> ExistsP(const QueryEngine& engine, const PathExpression& path,
-                       RunOptions options = {}) {
-  QueryRequest request;
-  request.require_latest = options.require_latest;
+                       const QueryRequest& request = {}) {
   BatchAnswer answer = engine.RunOne(BatchQuery::Exists(path), request);
   if (!answer.status.ok()) return answer.status;
   return answer.probability;
@@ -346,7 +344,7 @@ TEST(FrozenKernelTest, EngineRefreezesTransparentlyAfterMutation) {
   ASSERT_TRUE(path.ok()) << path.status();
 
   BatchStats stats;
-  auto answers = engine.Run({BatchQuery::Exists(*path)}, &stats);
+  auto answers = engine.Run({BatchQuery::Exists(*path)}, {}, &stats);
   ASSERT_TRUE(answers.ok()) << answers.status();
   ASSERT_TRUE((*answers)[0].status.ok()) << (*answers)[0].status;
   auto generic = ExistsQuery(reference, *path);
@@ -370,7 +368,7 @@ TEST(FrozenKernelTest, EngineRefreezesTransparentlyAfterMutation) {
   // The next query must see the mutation — the engine refreezes lazily
   // instead of consulting the outdated snapshot.
   BatchStats stats2;
-  auto answers2 = engine.Run({BatchQuery::Exists(*path)}, &stats2);
+  auto answers2 = engine.Run({BatchQuery::Exists(*path)}, {}, &stats2);
   ASSERT_TRUE(answers2.ok()) << answers2.status();
   ASSERT_TRUE((*answers2)[0].status.ok()) << (*answers2)[0].status;
   auto generic2 = ExistsQuery(reference, *path);
@@ -400,7 +398,7 @@ TEST(FrozenKernelTest, OpenMutationGuardStillServesSnapshotReads) {
     ASSERT_TRUE(during.ok()) << during.status();
     EXPECT_EQ(*during, *before);
     // The fail-fast contract survives behind require_latest.
-    RunOptions latest;
+    QueryRequest latest;
     latest.require_latest = true;
     auto strict = ExistsP(engine, *path, latest);
     ASSERT_FALSE(strict.ok());

@@ -23,11 +23,9 @@
 namespace pxml {
 namespace {
 
-/// The RunOne spelling of the deprecated ExistsProbability convenience.
+/// P(∃ path) through RunOne, with the answer's status as a Result.
 Result<double> ExistsP(const QueryEngine& engine, const PathExpression& path,
-                       RunOptions options = {}) {
-  QueryRequest request;
-  request.require_latest = options.require_latest;
+                       const QueryRequest& request = {}) {
   BatchAnswer answer = engine.RunOne(BatchQuery::Exists(path), request);
   if (!answer.status.ok()) return answer.status;
   return answer.probability;

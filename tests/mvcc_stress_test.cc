@@ -27,11 +27,9 @@
 namespace pxml {
 namespace {
 
-/// The RunOne spelling of the deprecated ExistsProbability convenience.
+/// P(∃ path) through RunOne, with the answer's status as a Result.
 Result<double> ExistsP(const QueryEngine& engine, const PathExpression& path,
-                       RunOptions options = {}) {
-  QueryRequest request;
-  request.require_latest = options.require_latest;
+                       const QueryRequest& request = {}) {
   BatchAnswer answer = engine.RunOne(BatchQuery::Exists(path), request);
   if (!answer.status.ok()) return answer.status;
   return answer.probability;
@@ -216,9 +214,9 @@ void RunStress(std::size_t reader_threads, std::size_t engine_threads) {
           last_epoch = ans.profile.epoch;
         }
         // require_latest answers are OK or kStale, never silently stale.
-        RunOptions latest;
+        QueryRequest latest;
         latest.require_latest = true;
-        auto strict = engine.Run({queries[0]}, nullptr, nullptr, latest);
+        auto strict = engine.Run({queries[0]}, latest);
         ASSERT_TRUE(strict.ok()) << strict.status();
         ASSERT_TRUE((*strict)[0].status.ok() ||
                     (*strict)[0].status.code() == StatusCode::kStale)

@@ -445,7 +445,7 @@ TEST(EngineRecorderTest, ExplicitCallerTraceWinsOverSampling) {
   opts.slow_query_ns = 1;  // would retain everything if sampling applied
   QueryEngine engine(inst, opts);
   obs::TraceSession session;
-  auto answers = engine.Run(queries, nullptr, &session);
+  auto answers = engine.Run(queries, {}, nullptr, &session);
   ASSERT_TRUE(answers.ok()) << answers.status();
 
   // The caller's session owns the span tree; the sampler stands down.
@@ -460,6 +460,9 @@ TEST(EngineRecorderTest, ObservabilityNeverChangesAnswersAcrossThreadCounts) {
   const ProbabilisticInstance inst = MakeWorkloadInstance(20260806);
   const std::vector<BatchQuery> queries = MakeWorkloadQueries(inst, 64, 0xB5);
 
+  // Work counters are a function of the batch alone, so every thread
+  // count must report the serial run's totals.
+  BatchStats serial_stats;
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
     BatchOptions off_opts;
     off_opts.threads = threads;
@@ -468,7 +471,7 @@ TEST(EngineRecorderTest, ObservabilityNeverChangesAnswersAcrossThreadCounts) {
     off_opts.slow_query_ns = 0;
     QueryEngine off_engine(inst, off_opts);
     BatchStats off_stats;
-    auto off = off_engine.Run(queries, &off_stats);
+    auto off = off_engine.Run(queries, {}, &off_stats);
     ASSERT_TRUE(off.ok()) << off.status();
 
     // Fully on, with a 1ns threshold so the retention path (the most
@@ -478,11 +481,16 @@ TEST(EngineRecorderTest, ObservabilityNeverChangesAnswersAcrossThreadCounts) {
     on_opts.slow_query_ns = 1;
     QueryEngine on_engine(inst, on_opts);
     BatchStats on_stats;
-    auto on = on_engine.Run(queries, &on_stats);
+    auto on = on_engine.Run(queries, {}, &on_stats);
     ASSERT_TRUE(on.ok()) << on.status();
 
     ExpectAnswersBitIdentical(*off, *on);
     EXPECT_EQ(off_stats.opf_row_ops, on_stats.opf_row_ops)
+        << threads << " threads";
+    if (threads == 1) serial_stats = off_stats;
+    EXPECT_EQ(off_stats.opf_row_ops, serial_stats.opf_row_ops)
+        << threads << " threads";
+    EXPECT_EQ(off_stats.epsilon_recomputed, serial_stats.epsilon_recomputed)
         << threads << " threads";
     EXPECT_EQ(on_engine.flight_recorder().total_recorded(), queries.size());
     EXPECT_EQ(on_engine.slow_query_log().retained(), queries.size());

@@ -209,9 +209,8 @@ TEST(QueryRequestTest, BudgetBlownQueriesDegradeGracefully) {
     SCOPED_TRACE(threads);
     BatchOptions options;
     options.threads = threads;
-    // Generic, uncached evaluation: per-query row-op totals are then a
-    // pure function of the query, so the budget split is deterministic.
-    options.cache = false;
+    // Generic evaluation: per-query row-op totals are a pure function of
+    // the query, so the budget split is deterministic.
     options.frozen = false;
     QueryEngine engine(&inst, options);
 
@@ -260,11 +259,10 @@ TEST(QueryRequestTest, ConcurrentCancelAcrossThreadCounts) {
   ProbabilisticInstance inst = MakeWorkload(6, 4);
   std::vector<BatchQuery> queries = MakeQueries(inst, 32);
 
-  // Reference answers from an unconstrained serial engine (generic and
-  // uncached, matching the engines under test).
+  // Reference answers from an unconstrained serial engine (generic,
+  // matching the engines under test).
   BatchOptions ref_options;
   ref_options.threads = 1;
-  ref_options.cache = false;
   ref_options.frozen = false;
   QueryEngine ref_engine(&inst, ref_options);
   auto reference = ref_engine.Run(queries, QueryRequest{});
@@ -275,7 +273,6 @@ TEST(QueryRequestTest, ConcurrentCancelAcrossThreadCounts) {
     SCOPED_TRACE(threads);
     BatchOptions options;
     options.threads = threads;
-    options.cache = false;
     options.frozen = false;
     QueryEngine engine(&inst, options);
 
