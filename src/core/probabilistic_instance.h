@@ -1,6 +1,7 @@
 #ifndef PXML_CORE_PROBABILISTIC_INSTANCE_H_
 #define PXML_CORE_PROBABILISTIC_INSTANCE_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -17,14 +18,23 @@ namespace pxml {
 /// a weak instance plus a local interpretation ℘ assigning every non-leaf
 /// object an OPF over PC(o) and every leaf object a VPF over dom(tau(o)).
 ///
-/// Copyable with a copy-on-write local interpretation: ℘ entries are
-/// immutable once installed (the Opf interface is fully const), so a
-/// copy shares them by reference and only the per-object pointer arrays
-/// and the weak structure are duplicated. SetOpf/SetVpf *replace* the
-/// shared pointer — they never mutate the pointee — so copies stay
-/// isolated. This is what makes a MutationGuard's private working copy
-/// (and the benchmark's "copy the input instance" phase) cheap on large
-/// interpretations.
+/// Copies share structure instead of duplicating it. The weak instance W
+/// (with its dictionary) is held by a shared_ptr, and ℘ by two tables of
+/// fixed kChunkSize-slot chunks of shared_ptrs to immutable OPF/VPF
+/// entries. Copying an instance therefore costs one pointer for W, one
+/// per chunk of each table, and the flat per-object version vector.
+/// Writes are copy-on-write: a non-const weak() or dict() clones W, and
+/// SetOpf/SetVpf clone the one chunk they write, but only while a copy
+/// still shares it, so copies stay isolated. A MutationGuard's working
+/// copy and an algebra result that rewrites a few OPFs (Select) share
+/// everything else with their input.
+///
+/// Sharing adds one rule: a mutable WeakInstance& or Dictionary& from the
+/// non-const weak()/dict() must not be used after the instance is copied,
+/// because it would write through to the copy. Take a fresh reference
+/// after the copy instead. (Conversely, a const reference taken before a
+/// non-const access that clones W keeps reading the W the copies share.)
+/// A moved-from instance is a valid, empty instance.
 ///
 /// Versioning (for incremental refreezing, DESIGN.md §8): every mutation
 /// that goes through this API bumps a monotone version counter, and each
@@ -38,25 +48,26 @@ namespace pxml {
 /// Freeze.
 class ProbabilisticInstance {
  public:
-  ProbabilisticInstance() = default;
-
-  ProbabilisticInstance(const ProbabilisticInstance& other);
-  ProbabilisticInstance& operator=(const ProbabilisticInstance& other);
-  ProbabilisticInstance(ProbabilisticInstance&&) = default;
-  ProbabilisticInstance& operator=(ProbabilisticInstance&&) = default;
+  /// Slots per shared ℘ chunk: a copy costs one pointer per chunk, a
+  /// first write to a shared chunk copies its slots.
+  static constexpr std::size_t kChunkSize = 512;
 
   /// Non-const structural access: hands out the weak instance for
   /// construction/surgery, so it conservatively marks the structure (and
-  /// thus every snapshot compiled from it) dirty.
+  /// thus every snapshot compiled from it) dirty, and clones W first if
+  /// a copy still shares it.
   WeakInstance& weak() {
     ++version_;
     ++structure_version_;
-    return weak_;
+    return MutableWeak();
   }
-  const WeakInstance& weak() const { return weak_; }
+  const WeakInstance& weak() const {
+    return weak_ != nullptr ? *weak_ : EmptyWeak();
+  }
 
-  Dictionary& dict() { return weak_.dict(); }
-  const Dictionary& dict() const { return weak_.dict(); }
+  /// Clones W first if a copy still shares it; bumps no version.
+  Dictionary& dict() { return MutableWeak().dict(); }
+  const Dictionary& dict() const { return weak().dict(); }
 
   /// Installs ℘(o) for a non-leaf object. The OPF's support is *not*
   /// validated here (see ValidateProbabilisticInstance).
@@ -66,9 +77,9 @@ class ProbabilisticInstance {
   Status SetVpf(ObjectId o, Vpf vpf);
 
   /// ℘(o) as an OPF; nullptr if none installed.
-  const Opf* GetOpf(ObjectId o) const;
+  const Opf* GetOpf(ObjectId o) const { return opfs_.Get(o); }
   /// ℘(o) as a VPF; nullptr if none installed.
-  const Vpf* GetVpf(ObjectId o) const;
+  const Vpf* GetVpf(ObjectId o) const { return vpfs_.Get(o); }
 
   /// Replaces ℘(o) for a non-leaf (same as SetOpf; reads as an update).
   Status ReplaceOpf(ObjectId o, std::unique_ptr<Opf> opf) {
@@ -98,21 +109,45 @@ class ProbabilisticInstance {
   std::string ToString() const;
 
  private:
-  WeakInstance weak_;
-  // ℘ storage, indexed by ObjectId. Entries are shared-immutable: copies
-  // of the instance alias them, and updates swap the pointer.
-  std::vector<std::shared_ptr<const Opf>> opfs_;
-  std::vector<std::shared_ptr<const Vpf>> vpfs_;
+  /// A per-object table of shared immutable entries, split into chunks
+  /// that copies of the table share.
+  template <class T>
+  class ChunkedTable {
+   public:
+    using Chunk = std::array<std::shared_ptr<const T>, kChunkSize>;
+
+    const T* Get(ObjectId o) const {
+      const std::size_t c = o / kChunkSize;
+      if (c >= chunks_.size() || chunks_[c] == nullptr) return nullptr;
+      return (*chunks_[c])[o % kChunkSize].get();
+    }
+    /// Replaces slot o, cloning its chunk first if a copy shares it.
+    void Set(ObjectId o, std::shared_ptr<const T> value);
+    const std::vector<std::shared_ptr<Chunk>>& chunks() const {
+      return chunks_;
+    }
+
+   private:
+    std::vector<std::shared_ptr<Chunk>> chunks_;  // null: all slots empty
+  };
+
+  /// The weak instance every default-constructed or moved-from instance
+  /// reads through.
+  static const WeakInstance& EmptyWeak();
+  /// W, made sole-owned (allocated or cloned) before a write.
+  WeakInstance& MutableWeak();
+  /// Stamps o and all its potential ancestors with a fresh version.
+  void NoteLocalChange(ObjectId o);
+
+  std::shared_ptr<WeakInstance> weak_;  // null: the empty weak instance
+  ChunkedTable<Opf> opfs_;
+  ChunkedTable<Vpf> vpfs_;
 
   std::uint64_t version_ = 0;
   std::uint64_t structure_version_ = 0;
   // subtree_change_[o] = version of the latest SetOpf/SetVpf at o or any
   // of its potential descendants (maintained by an ancestor walk on set).
   std::vector<std::uint64_t> subtree_change_;
-
-  void EnsureSize(ObjectId o);
-  /// Stamps o and all its potential ancestors with a fresh version.
-  void NoteLocalChange(ObjectId o);
 };
 
 }  // namespace pxml

@@ -64,6 +64,13 @@ obs::Histogram& SnapshotAge() {
       obs::Registry::Global().GetHistogram("pxml.engine.snapshot_age_epochs");
   return h;
 }
+// Time a retiring epoch spends releasing its instance and frozen form,
+// paid by whichever thread drops the last reference (often a reader).
+obs::Histogram& EpochReclaimNs() {
+  static obs::Histogram& h =
+      obs::Registry::Global().GetHistogram("pxml.engine.epoch_reclaim_ns");
+  return h;
+}
 
 // Serving counters (DESIGN.md §11). admitted/rejected count *batches* at
 // the admission decision; deadline_exceeded/cancelled/budget_exhausted
@@ -507,6 +514,13 @@ struct QueryEngine::Epoch {
   // Reclamation is refcount-driven: the last release — whichever of the
   // head pointer or a pinning reader lets go last — lands here.
   ~Epoch() {
+    const auto t0 = std::chrono::steady_clock::now();
+    instance.reset();
+    frozen.reset();
+    EpochReclaimNs().Record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count()));
     if (answer_cache != nullptr) answer_cache->DropEpoch(id);
     LiveSnapshots().Decrement();
     EpochsRetired().Increment();
@@ -1575,10 +1589,12 @@ QueryEngine::MutationGuard::MutationGuard(QueryEngine* engine)
   engine_->mutators_.fetch_add(1, std::memory_order_acq_rel);
   writer_lock_ = std::unique_lock<std::mutex>(engine_->writer_mu_);
   if (engine_->owning_) {
-    // Copy-on-write working copy of the committed head. The copy aliases
-    // every OPF/VPF (shared_ptr copies), so its cost is O(objects)
-    // pointer copies, not O(℘). Readers keep querying the head epoch
-    // untouched until ~MutationGuard publishes.
+    // Copy-on-write working copy of the committed head. The copy shares
+    // W and every ℘ chunk with the head, so it costs one pointer per
+    // ProbabilisticInstance::kChunkSize objects; a write clones only the
+    // chunk it lands in. No mutation here touches W mutably, so every
+    // epoch shares one W. Readers keep querying the head epoch untouched
+    // until ~MutationGuard publishes.
     std::shared_ptr<const Epoch> head;
     {
       std::lock_guard<std::mutex> lock(engine_->head_mu_);

@@ -482,7 +482,7 @@ class QueryEngine {
   /// A writer scope. Opening one serializes against other writers only —
   /// readers keep pinning the last committed epoch throughout. Updates
   /// apply to a private copy-on-write working copy of the committed
-  /// instance (cheap: ℘ entries are shared until replaced); the
+  /// instance (cheap: W and the ℘ chunks are shared until written); the
   /// destructor compiles and atomically publishes the next epoch iff any
   /// update succeeded, so a scope that only failed (or did nothing)
   /// publishes nothing. Queries issued while the guard is open — even

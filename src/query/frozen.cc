@@ -32,9 +32,9 @@ obs::Counter& RefreezeRecompiled() {
   return c;
 }
 
-// Level-schedule execution counters: levels the full ε pass evaluated,
-// kernels it evaluated through them, and levels wide enough to fan out
-// across the ThreadPool.
+// Layer-loop execution counters: the path levels the full ε pass
+// evaluated, the kernels it evaluated in them, and the levels wide enough
+// to fan out across the ThreadPool.
 obs::Counter& LevelBatches() {
   static obs::Counter& c =
       obs::Registry::Global().GetCounter("pxml.frozen.level_batches");
@@ -141,39 +141,8 @@ Result<FrozenInstance> FrozenInstance::Freeze(
     PXML_RETURN_IF_ERROR(st);
     fz.kernels_[o] = k;
   }
-  fz.ComputeLevelSchedule();
   fz.ComputeKernelTables();
   return fz;
-}
-
-void FrozenInstance::ComputeLevelSchedule() {
-  depth_of_.assign(kernels_.size(), 0);
-  std::uint32_t max_depth = 0;
-  // topo_order_ is bottom-up (children first); the reverse walk sees
-  // every parent before its children, so one sweep assigns depths.
-  for (std::size_t i = topo_order_.size(); i-- > 0;) {
-    const ObjectId o = topo_order_[i];
-    const std::uint32_t d = depth_of_[o];
-    if (d > max_depth) max_depth = d;
-    for (std::uint32_t ri = obj_labels_[o].begin; ri < obj_labels_[o].end;
-         ++ri) {
-      const LabelRange& r = label_ranges_[ri];
-      for (std::uint32_t ci = r.begin; ci < r.end; ++ci) {
-        depth_of_[child_ids_[ci]] = d + 1;
-      }
-    }
-  }
-  // Bucket by depth, preserving topo order within each level (counting
-  // sort — stable).
-  level_offsets_.assign(max_depth + 2, 0);
-  for (ObjectId o : topo_order_) ++level_offsets_[depth_of_[o] + 1];
-  for (std::size_t d = 1; d < level_offsets_.size(); ++d) {
-    level_offsets_[d] += level_offsets_[d - 1];
-  }
-  level_order_.resize(topo_order_.size());
-  std::vector<std::uint32_t> cursor(level_offsets_.begin(),
-                                    level_offsets_.end() - 1);
-  for (ObjectId o : topo_order_) level_order_[cursor[depth_of_[o]]++] = o;
 }
 
 void FrozenInstance::ComputeKernelTables() {
@@ -350,11 +319,6 @@ Result<FrozenInstance> FrozenInstance::Refreeze(
   fz.label_ranges_ = prev.label_ranges_;
   fz.child_ids_ = prev.child_ids_;
   fz.topo_order_ = prev.topo_order_;
-  // The level schedule depends on the weak structure only, so it carries
-  // over verbatim too (and stays bitwise identical to a full Freeze).
-  fz.depth_of_ = prev.depth_of_;
-  fz.level_offsets_ = prev.level_offsets_;
-  fz.level_order_ = prev.level_order_;
 
   const std::size_t num_ids = prev.kernels_.size();
   fz.kernels_.resize(num_ids);

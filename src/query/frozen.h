@@ -324,26 +324,6 @@ class FrozenInstance {
   /// universe (meaningful only for rows of `vec` per-label factors).
   std::uint32_t row_mask(std::uint32_t r) const { return row_mask_[r]; }
 
-  // -------------------------------------------------------------------
-  // The level schedule (DESIGN.md §14): topo_order_ partitioned into
-  // depth levels. Objects within one level are mutually independent in a
-  // tree (none is an ancestor of another), so a level's kernels may run
-  // in any order. The pruned path layer K_i of a root-anchored query is always a
-  // subset of level(i) — the schedule is the query-independent superset
-  // computed once at Freeze time and carried over by Refreeze.
-  // -------------------------------------------------------------------
-  std::size_t num_levels() const {
-    return level_offsets_.empty() ? 0 : level_offsets_.size() - 1;
-  }
-  /// The depth-d objects, in topo order.
-  std::span<const ObjectId> level(std::size_t d) const {
-    return {level_order_.data() + level_offsets_[d],
-            level_order_.data() + level_offsets_[d + 1]};
-  }
-  /// Depth of o below the root (root = 0). Only meaningful for objects
-  /// present in topo_order().
-  std::uint32_t depth_of(ObjectId o) const { return depth_of_[o]; }
-
  private:
   struct Span {
     std::uint32_t begin = 0;
@@ -382,18 +362,11 @@ class FrozenInstance {
   std::uint64_t version_ = 0;
   std::uint64_t structure_version_ = 0;
 
-  /// Partitions topo_order_ by depth (ComputeLevelSchedule; structure-
-  /// only, so Refreeze copies it verbatim).
-  std::vector<std::uint32_t> depth_of_;        // indexed by ObjectId
-  std::vector<std::uint32_t> level_offsets_;   // num_levels() + 1
-  std::vector<ObjectId> level_order_;          // topo order within a level
-
   /// ℘-dependent lookup tables (ComputeKernelTables; rebuilt by both
   /// Freeze and Refreeze after kernel compilation).
   std::vector<double> per_label_mass_all_;     // indexed by ObjectId
   std::vector<std::uint32_t> row_mask_;        // parallel to row_prob_
 
-  void ComputeLevelSchedule();
   void ComputeKernelTables();
 };
 

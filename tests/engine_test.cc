@@ -314,6 +314,27 @@ TEST(QueryEngineTest, LeafVpfUpdateRecomputesOnlyLeafSpine) {
   ExpectMatchesFreshGeneric(engine, queries, "post-VPF-update probability");
 }
 
+TEST(QueryEngineTest, CommitsShareTheWeakInstance) {
+  // ℘-only commits never copy W: the engine's first epoch shares the
+  // caller's W, and every later epoch shares it too.
+  const ProbabilisticInstance inst = MakeUniformTree(3, 3, 0x5A);
+  QueryEngine engine(inst, BatchOptions{.threads = 1});
+  const WeakInstance* weak = &engine.instance().weak();
+  EXPECT_EQ(weak, &inst.weak());
+  std::vector<ObjectId> leaves;
+  for (ObjectId o : inst.weak().Objects()) {
+    if (inst.weak().IsLeaf(o)) leaves.push_back(o);
+  }
+  ASSERT_FALSE(leaves.empty());
+  Rng rng(0x5B);
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(engine.UpdateVpf(leaves[i % leaves.size()], RandomVpf(rng))
+                    .ok());
+    EXPECT_EQ(&engine.instance().weak(), weak) << "after commit " << i + 1;
+  }
+  EXPECT_EQ(engine.head_epoch(), 51u);
+}
+
 TEST(QueryEngineTest, UpdateOutsideQueriedPathLeavesAnswerUnchanged) {
   // Two sibling subtrees under the root, reached by different labels;
   // the query descends into A, the update lands in B.

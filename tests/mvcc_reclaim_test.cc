@@ -7,7 +7,8 @@
 // pxml.engine.epochs_retired counts destructions, so
 //   published - retired == live
 // at every quiescent point, and live returns to its pre-engine baseline
-// when the engine dies. The binary runs under the ASAN/UBSAN/TSAN CI
+// when the engine dies; every destruction also times its release into
+// pxml.engine.epoch_reclaim_ns. The binary runs under the ASAN/UBSAN/TSAN CI
 // matrix, which turns any actually-leaked epoch into a hard failure too.
 #include <gtest/gtest.h>
 
@@ -76,10 +77,17 @@ std::uint64_t EpochsPublished() {
       .value();
 }
 
+std::uint64_t EpochReclaims() {
+  return obs::Registry::Global()
+      .GetHistogram("pxml.engine.epoch_reclaim_ns")
+      .count();
+}
+
 TEST(MvccReclaimTest, ChurnedEpochsAreReclaimedEagerly) {
   const std::int64_t baseline_live = LiveSnapshots();
   const std::uint64_t baseline_retired = EpochsRetired();
   const std::uint64_t baseline_published = EpochsPublished();
+  const std::uint64_t baseline_reclaims = EpochReclaims();
 
   constexpr int kChurn = 50;
   {
@@ -113,6 +121,8 @@ TEST(MvccReclaimTest, ChurnedEpochsAreReclaimedEagerly) {
   // reconciles exactly.
   EXPECT_EQ(LiveSnapshots(), baseline_live);
   EXPECT_EQ(EpochsPublished() - baseline_published,
+            EpochsRetired() - baseline_retired);
+  EXPECT_EQ(EpochReclaims() - baseline_reclaims,
             EpochsRetired() - baseline_retired);
 }
 

@@ -10,10 +10,8 @@
 //   * answer MultiPointQuery bit-identically to per-target PointQuery
 //     (the shared pass evaluates through the same KernelFn via the
 //     zero-overlay);
-// plus the level-schedule invariants the batched evaluator relies on:
-// the levels partition topo_order by depth, a tree child sits exactly
-// one level below its parent, every pruned path layer K_i is a subset
-// of level(i), and Refreeze carries the schedule over bitwise.
+// plus a Refreeze check: the rebuilt kernel tables answer like a fresh
+// Freeze under every backend.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -348,82 +346,17 @@ TEST(SimdKernelTest, ScalarBackendMatchesGenericBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Level-schedule invariants
+// Refreeze
 
-TEST(LevelScheduleTest, LevelsPartitionTopoOrderByDepth) {
-  for (OpfStyle style : {OpfStyle::kExplicitTable, OpfStyle::kIndependent,
-                         OpfStyle::kPerLabelProduct}) {
-    auto generated = Generate(style, 3, 2, 8);
-    ASSERT_TRUE(generated.ok()) << generated.status();
-    const ProbabilisticInstance& inst = *generated;
-    auto frozen = FrozenInstance::Freeze(inst);
-    ASSERT_TRUE(frozen.ok()) << frozen.status();
-
-    // Union of the levels == topo_order as a set, each object exactly
-    // once, and every object sits in the level its depth names.
-    std::size_t total = 0;
-    std::vector<int> seen(frozen->num_ids(), 0);
-    for (std::size_t d = 0; d < frozen->num_levels(); ++d) {
-      ASSERT_FALSE(frozen->level(d).empty()) << "empty level " << d;
-      for (ObjectId o : frozen->level(d)) {
-        EXPECT_EQ(frozen->depth_of(o), d);
-        ++seen[o];
-        ++total;
-      }
-    }
-    EXPECT_EQ(total, frozen->topo_order().size());
-    for (ObjectId o : frozen->topo_order()) EXPECT_EQ(seen[o], 1);
-
-    // Root is the unique depth-0 object; in a tree every potential
-    // child hangs exactly one level below its parent.
-    ASSERT_EQ(frozen->level(0).size(), 1u);
-    EXPECT_EQ(frozen->level(0).front(), frozen->root());
-    const WeakInstance& weak = inst.weak();
-    for (ObjectId o : frozen->topo_order()) {
-      for (LabelId l : weak.LabelsOf(o)) {
-        for (ObjectId c : weak.Lch(o, l)) {
-          EXPECT_EQ(frozen->depth_of(c), frozen->depth_of(o) + 1)
-              << "edge " << o << " -> " << c;
-        }
-      }
-    }
-  }
-}
-
-TEST(LevelScheduleTest, PrunedLayersAreSubsetsOfLevels) {
-  auto generated = Generate(OpfStyle::kIndependent, 4, 2, 2024);
-  ASSERT_TRUE(generated.ok()) << generated.status();
-  const ProbabilisticInstance& inst = *generated;
-  auto frozen = FrozenInstance::Freeze(inst);
-  ASSERT_TRUE(frozen.ok()) << frozen.status();
-  EpsilonScratch scratch;
-  Rng rng(0xACE);
-  for (int q = 0; q < 3; ++q) {
-    auto path = GenerateAcceptedPath(inst, rng);
-    ASSERT_TRUE(path.ok()) << path.status();
-    FrozenExists(inst, *frozen, *path, 1, &scratch);
-    // The pass leaves its pruned layers in the scratch: K_i must be a
-    // subset of level(i) — the query-independent superset the batched
-    // evaluator schedules.
-    ASSERT_LE(scratch.layers.size(), frozen->num_levels() + 1);
-    for (std::size_t i = 0; i <= path->labels.size(); ++i) {
-      for (ObjectId o : scratch.layers[i]) {
-        EXPECT_EQ(frozen->depth_of(o), i)
-            << "layer " << i << " object " << o;
-      }
-    }
-  }
-}
-
-TEST(LevelScheduleTest, RefreezePreservesScheduleAndRebuildsTables) {
+TEST(SimdRefreezeTest, RebuildsTablesAndAnswersLikeFreeze) {
   ProbabilisticInstance built = BuildMixedInstance();
   const ProbabilisticInstance& inst = built;
   auto frozen = FrozenInstance::Freeze(inst);
   ASSERT_TRUE(frozen.ok()) << frozen.status();
 
   // ℘-only mutation: swap c1's independent OPF for one with different
-  // probabilities. Structure (and therefore the level schedule) is
-  // untouched; the kernel tables must be rebuilt for the new ℘.
+  // probabilities. Structure is untouched; the kernel tables must be
+  // rebuilt for the new ℘.
   const ObjectId c1 = inst.weak().dict().FindObject("c1").value();
   const ObjectId g1 = inst.weak().dict().FindObject("g1").value();
   const ObjectId g2 = inst.weak().dict().FindObject("g2").value();
@@ -435,19 +368,7 @@ TEST(LevelScheduleTest, RefreezePreservesScheduleAndRebuildsTables) {
   auto refrozen = FrozenInstance::Refreeze(*frozen, inst);
   ASSERT_TRUE(refrozen.ok()) << refrozen.status();
 
-  // Schedule carried over bitwise.
-  ASSERT_EQ(refrozen->num_levels(), frozen->num_levels());
-  for (std::size_t d = 0; d < frozen->num_levels(); ++d) {
-    const auto a = frozen->level(d);
-    const auto b = refrozen->level(d);
-    ASSERT_EQ(a.size(), b.size()) << "level " << d;
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  }
-  for (ObjectId o : frozen->topo_order()) {
-    EXPECT_EQ(refrozen->depth_of(o), frozen->depth_of(o));
-  }
-
-  // And the refrozen snapshot answers like a from-scratch Freeze of the
+  // The refrozen snapshot answers like a from-scratch Freeze of the
   // mutated instance, under every backend.
   auto fresh = FrozenInstance::Freeze(inst);
   ASSERT_TRUE(fresh.ok()) << fresh.status();
