@@ -1,8 +1,8 @@
 // Cross-query reuse benchmark (DESIGN.md §12): the epoch-keyed answer
-// cache and intra-batch ε-sharing, measured on a repeat-heavy point/exists
-// workload against one committed epoch.
+// cache, measured on a repeat-heavy point/exists workload against one
+// committed epoch.
 //
-// Three comparisons, all at equal thread counts:
+// Two comparisons, at equal thread counts:
 //
 //   * cache-off vs answer-cache-warm: a repeat workload (default 10k
 //     queries, 90% repeats) re-run against the same epoch must be served
@@ -12,11 +12,7 @@
 //     the cold answer);
 //   * mutation commit: publishing one OPF update retires the old epoch —
 //     its entries are dropped eagerly (epoch_drops moves) and the next
-//     run scores zero hits (nothing stale is ever served);
-//   * dedup/sharing alone (answer cache off): a sibling-heavy batch
-//     (every target under one path, plus exact duplicates) must run
-//     ≥ 2× fewer ε passes with share_batch_passes than without, again
-//     bit-identically.
+//     run scores zero hits (nothing stale is ever served).
 //
 // Usage: bench_answer_cache [--threads=N] [--hit-rate=R] [--queries=N]
 //        [--seed=S] [--json=PATH] [--check]
@@ -113,7 +109,7 @@ int main(int argc, char** argv) {
   config.seed = flags.seed;
   auto generated = GenerateBalancedTree(config);
   BenchCheck(generated.status(), "generate");
-  std::printf("# answer cache + ε-sharing: %zu objects, %zu queries, "
+  std::printf("# answer cache: %zu objects, %zu queries, "
               "hit-rate %.2f, %zu thread(s)\n",
               generated->weak().num_objects(), num_queries, hit_rate,
               flags.threads);
@@ -152,7 +148,6 @@ int main(int argc, char** argv) {
   base.threads = flags.threads;
   BatchOptions cached_opts = base;
   cached_opts.answer_cache = true;
-  cached_opts.share_batch_passes = true;
 
   QueryEngine engine_off(ProbabilisticInstance(*generated), base);
   QueryEngine engine_on(ProbabilisticInstance(*generated), cached_opts);
@@ -166,7 +161,7 @@ int main(int argc, char** argv) {
 
   std::size_t bad = 0;
   Check(AnswersBitEqual(off.answers, cold.answers, &bad),
-        "cold planned answers bit-identical to cache-off",
+        "cold answers bit-identical to cache-off",
         StrCat("first mismatch at ", bad));
   Check(AnswersBitEqual(off.answers, warm.answers, &bad),
         "warm cached answers bit-identical to cache-off",
@@ -185,15 +180,14 @@ int main(int argc, char** argv) {
         "warm repeat wall >= 3x lower than cache-off",
         StrCat("off=", off.wall_ms, "ms warm=", warm.wall_ms, "ms"));
 
-  std::printf("%-10s %8s %12s %12s %10s %10s\n", "mode", "wall_ms",
-              "opf_row_ops", "eps_passes", "hits", "shared");
+  std::printf("%-10s %8s %12s %12s %10s\n", "mode", "wall_ms",
+              "opf_row_ops", "eps_passes", "hits");
   auto print_row = [&](const char* mode, const TimedRun& r) {
-    std::printf("%-10s %8.2f %12llu %12llu %10llu %10llu\n", mode, r.wall_ms,
+    std::printf("%-10s %8.2f %12llu %12llu %10llu\n", mode, r.wall_ms,
                 static_cast<unsigned long long>(r.stats.opf_row_ops),
                 static_cast<unsigned long long>(r.stats.frozen_passes +
                                                 r.stats.generic_passes),
-                static_cast<unsigned long long>(r.stats.answer_cache_hits),
-                static_cast<unsigned long long>(r.stats.shared_queries));
+                static_cast<unsigned long long>(r.stats.answer_cache_hits));
     json.NextRow();
     json.Str("mode", mode);
     json.Int("threads", flags.threads);
@@ -204,7 +198,6 @@ int main(int argc, char** argv) {
     json.Int("eps_passes", r.stats.frozen_passes + r.stats.generic_passes);
     json.Int("answer_cache_hits", r.stats.answer_cache_hits);
     json.Int("answer_cache_misses", r.stats.answer_cache_misses);
-    json.Int("shared_queries", r.stats.shared_queries);
   };
   print_row("off", off);
   print_row("cold", cold);
@@ -235,44 +228,6 @@ int main(int argc, char** argv) {
   json.Int("threads", flags.threads);
   json.Int("answer_cache_hits", post.stats.answer_cache_hits);
   json.Int("epoch_drops", engine_on.answer_cache_stats().epoch_drops);
-
-  // ---- Dedup/ε-sharing alone (answer cache off): a sibling-heavy batch
-  // must collapse into a handful of shared multi-target passes.
-  auto sibling_path = GenerateAcceptedPath(*generated, rng);
-  BenchCheck(sibling_path.status(), "sibling path");
-  auto sibling_layers =
-      PrunedWeakPathLayers(generated->weak(), *sibling_path);
-  BenchCheck(sibling_layers.status(), "sibling layers");
-  std::vector<BatchQuery> sibling_batch;
-  std::size_t emitted = 0;
-  for (ObjectId o : sibling_layers->back()) {
-    if (++emitted > 256) break;  // cap the batch; one pass either way
-    sibling_batch.push_back(BatchQuery::Point(*sibling_path, o));
-  }
-  const std::size_t distinct_siblings = sibling_batch.size();
-  for (std::size_t k = 0; k < distinct_siblings / 2; ++k) {
-    sibling_batch.push_back(sibling_batch[k]);  // exact duplicates
-  }
-
-  BatchOptions share_opts = base;
-  share_opts.share_batch_passes = true;
-  QueryEngine engine_share(ProbabilisticInstance(*generated), share_opts);
-  QueryEngine engine_noshare(ProbabilisticInstance(*generated), base);
-  const TimedRun unshared = Run(engine_noshare, sibling_batch);
-  const TimedRun shared = Run(engine_share, sibling_batch);
-
-  Check(AnswersBitEqual(unshared.answers, shared.answers, &bad),
-        "shared-pass answers bit-identical to unshared",
-        StrCat("first mismatch at ", bad));
-  const std::uint64_t passes_unshared =
-      unshared.stats.frozen_passes + unshared.stats.generic_passes;
-  const std::uint64_t passes_shared =
-      shared.stats.frozen_passes + shared.stats.generic_passes;
-  Check(passes_shared > 0 && passes_unshared >= 2 * passes_shared,
-        "sharing runs >= 2x fewer epsilon passes",
-        StrCat("unshared=", passes_unshared, " shared=", passes_shared));
-  print_row("unshared", unshared);
-  print_row("sharedeps", shared);
 
   json.Write();
   obs.Finish();

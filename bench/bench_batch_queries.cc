@@ -229,7 +229,7 @@ int MixedMain(const BenchFlags& flags, double mutate_rate,
 /// The deadline mode behind --deadline-ms / --request=: one
 /// unconstrained reference run, then the same batch under the request —
 /// completed answers must be bit-identical to the reference (both runs
-/// pin the same epoch; the instance is borrowed and never mutated).
+/// pin the same epoch; nothing mutates the engine's instance).
 int DeadlineMain(const BenchFlags& flags,
                  const std::vector<std::string>& knobs,
                  const ProbabilisticInstance& inst,
@@ -237,7 +237,7 @@ int DeadlineMain(const BenchFlags& flags,
   BatchOptions options;
   options.threads = flags.threads;
   options.frozen = flags.frozen;
-  QueryEngine engine(&inst, options);
+  QueryEngine engine(inst, options);
 
   auto reference = engine.Run(queries, QueryRequest{});
   BenchCheck(reference.status(), "reference run");
@@ -312,7 +312,7 @@ int OverloadMain(const BenchFlags& flags, const ProbabilisticInstance& inst,
   options.threads = flags.threads;
   options.frozen = flags.frozen;
   options.max_in_flight_batches = 2;
-  QueryEngine engine(&inst, options);
+  QueryEngine engine(inst, options);
 
   constexpr int kClientsPerClass = 2;
   constexpr int kBatchesPerClient = 4;
@@ -391,7 +391,7 @@ int OverheadGateMain(const BenchFlags& flags,
   BatchOptions options;
   options.threads = flags.threads;
   options.frozen = flags.frozen;
-  QueryEngine engine(&inst, options);
+  QueryEngine engine(inst, options);
 
   // The fig7a operation through the engine: ancestor projections only.
   Rng rng(0xF16A);
@@ -471,12 +471,12 @@ int RecorderGateMain(const BenchFlags& flags,
   off_options.frozen = flags.frozen;
   off_options.flight_recorder_capacity = 0;
   off_options.slow_query_ns = 0;
-  QueryEngine off_engine(&inst, off_options);
+  QueryEngine off_engine(inst, off_options);
 
   BatchOptions on_options = off_options;
   on_options.flight_recorder_capacity = obs::FlightRecorder::kDefaultCapacity;
   on_options.slow_query_ns = 3'600'000'000'000ull;  // 1h: sample, never retain
-  QueryEngine on_engine(&inst, on_options);
+  QueryEngine on_engine(inst, on_options);
 
   Rng rng(0xF16A);
   std::vector<BatchQuery> queries;
@@ -534,7 +534,7 @@ int RecorderGateMain(const BenchFlags& flags,
   // acceptance check. Answers stay bit-identical to the off reference.
   BatchOptions slow_options = on_options;
   slow_options.slow_query_ns = 1;
-  QueryEngine slow_engine(&inst, slow_options);
+  QueryEngine slow_engine(inst, slow_options);
   auto slow = slow_engine.Run(queries, QueryRequest{});
   BenchCheck(slow.status(), "forced-slow run");
   CheckIdentical(reference, *slow);
@@ -682,7 +682,7 @@ int Main(int argc, char** argv) {
     options.threads = t;
     options.frozen = false;
     options.slow_query_ns = flags.slow_ms * 1'000'000;
-    QueryEngine engine(&*inst, options);
+    QueryEngine engine(*inst, options);
     BatchStats stats;
     auto answers = engine.Run(queries, {}, &stats, obs.session());
     BenchCheck(answers.status(), "run");

@@ -40,8 +40,7 @@
 //   * agreement: under every backend this host can run (scalar always;
 //     SSE2/AVX2 per cpuid), independent-OPF answers are bit-identical to
 //     the scalar backend and per-label answers agree to 1e-12 (the
-//     documented MaskedDot reduction-order envelope); the shared
-//     multi-target pass stays bit-identical to per-target PointQuery;
+//     documented MaskedDot reduction-order envelope);
 //   * dispatch neutrality: the work counters (recomputed, opf_row_ops,
 //     frozen_passes, entries_materialized) are EXACTLY equal across
 //     backends — vectorization changes how the arithmetic is issued,
@@ -394,11 +393,11 @@ int main(int argc, char** argv) {
   rec_off.frozen = true;
   rec_off.flight_recorder_capacity = 0;
   rec_off.slow_query_ns = 0;
-  QueryEngine rec_off_engine(&inst, rec_off);
+  QueryEngine rec_off_engine(inst, rec_off);
   BatchOptions rec_on = rec_off;
   rec_on.flight_recorder_capacity = obs::FlightRecorder::kDefaultCapacity;
   rec_on.slow_query_ns = 3'600'000'000'000ull;  // sample, never retain
-  QueryEngine rec_on_engine(&inst, rec_on);
+  QueryEngine rec_on_engine(inst, rec_on);
   BatchStats rec_off_stats;
   auto rec_off_answers = rec_off_engine.Run(batch, {}, &rec_off_stats);
   BenchCheck(rec_off_answers.status(), "recorder-off batch");
@@ -497,32 +496,6 @@ int main(int argc, char** argv) {
         "work counters exactly equal across lane backends",
         StrCat("backends=", lane_backends.size(), " row_ops=",
                pl_by_backend[0].opf_row_ops));
-
-  // Shared multi-target pass vs per-target queries, per backend: the
-  // overlay evaluates the spine through the same KernelFn, so the two
-  // must be bit-identical under every backend.
-  const std::vector<ObjectId> mp_objects = ind_inst.weak().Objects();
-  bool multipoint_identical = true;
-  for (simd::Backend b : lane_backends) {
-    if (!simd::SetBackend(b)) BenchCheck(Status::Internal("set backend"), "simd");
-    EpsilonScratch mp_scratch;
-    EpsilonHooks mp_hooks;
-    mp_hooks.frozen = &*ind_snapshot;
-    mp_hooks.scratch = &mp_scratch;
-    auto shared = MultiPointQuery(ind_inst, *ind_path, mp_objects, {}, mp_hooks);
-    BenchCheck(shared.status(), "multi-point");
-    for (std::size_t i = 0; i < mp_objects.size(); ++i) {
-      auto single = PointQuery(ind_inst, *ind_path, mp_objects[i], {}, mp_hooks);
-      BenchCheck(single.status(), "point");
-      multipoint_identical =
-          multipoint_identical &&
-          std::memcmp(&(*shared)[i], &*single, sizeof(double)) == 0;
-    }
-  }
-  Check(multipoint_identical,
-        "multi-point pass bit-identical to per-target under every backend",
-        StrCat("objects=", mp_objects.size(),
-               " backends=", lane_backends.size()));
 
   // ---- Single-thread wall clock: vectorized sweep vs --simd=scalar on
   // kernel-bound fig7a-shaped workloads (min-of-rounds; the 1.5x

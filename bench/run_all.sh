@@ -19,8 +19,8 @@
 # and the admission overload mode (--overload: admitted/shed per
 # priority class) — and the PR-7 cross-query reuse rows
 # (bench_answer_cache): the cache-off / cold / warm answer-cache table
-# on a 90%-repeat workload at 1 and 4 threads, the post-mutation
-# zero-hit row, and the ε-sharing sibling-batch pass ablation — and the
+# on a 90%-repeat workload at 1 and 4 threads and the post-mutation
+# zero-hit row — and the
 # PR-8 observability rows: the default batch table with per-query
 # latency quantiles (p50/p90/p99/p99.9) plus a flight-recorder dump and
 # Prometheus text export into OUT_DIR, and the recorder-overhead gate

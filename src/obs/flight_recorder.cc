@@ -67,11 +67,10 @@ void AppendRecordJson(std::string& out, const FlightRecord& rec) {
   out += "\",\"kind\":\"";
   out += QueryKindName(rec.kind);
   std::snprintf(buf, sizeof(buf),
-                "\",\"priority\":%d,\"cached\":%s,\"shared\":%s,\"frozen\":%s,"
+                "\",\"priority\":%d,\"cached\":%s,\"frozen\":%s,"
                 "\"generic\":%s,\"admitted\":%s,\"shed\":%s,\"vectorized\":%s}",
                 static_cast<int>(rec.priority),
                 (rec.flags & kRecordCached) != 0 ? "true" : "false",
-                (rec.flags & kRecordShared) != 0 ? "true" : "false",
                 (rec.flags & kRecordFrozen) != 0 ? "true" : "false",
                 (rec.flags & kRecordGeneric) != 0 ? "true" : "false",
                 (rec.flags & kRecordAdmitted) != 0 ? "true" : "false",

@@ -15,10 +15,10 @@ namespace pxml {
 namespace obs {
 
 /// Flag bits of FlightRecord::flags. They summarize *how* the query was
-/// served: which cache/sharing/kernel machinery touched it and what the
-/// admission decision was.
+/// served: which cache/kernel machinery touched it and what the
+/// admission decision was. Bit 1 is retired: the other bits keep their
+/// values so records and dumps decode the same way.
 inline constexpr std::uint16_t kRecordCached = 1u << 0;    ///< answer-cache hit
-inline constexpr std::uint16_t kRecordShared = 1u << 1;    ///< intra-batch shared pass
 inline constexpr std::uint16_t kRecordFrozen = 1u << 2;    ///< >=1 frozen-kernel pass
 inline constexpr std::uint16_t kRecordGeneric = 1u << 3;   ///< >=1 generic pass
 inline constexpr std::uint16_t kRecordAdmitted = 1u << 4;  ///< batch passed admission

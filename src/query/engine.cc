@@ -6,10 +6,10 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <deque>
 #include <optional>
 #include <system_error>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -116,9 +116,8 @@ obs::Gauge& InflightGauge() {
       obs::Registry::Global().GetGauge("pxml.engine.inflight");
   return g;
 }
-/// Pool backlog (unclaimed queued tasks) sampled at each batch arrival —
-/// the same number the queue_depth_watermark gate sheds on, exported so
-/// an operator can see the pressure that caused the shedding.
+/// Pool backlog (unclaimed queued tasks) sampled at each batch arrival, so
+/// an operator can see the pool pressure a batch arrived into.
 obs::Gauge& BacklogGauge() {
   static obs::Gauge& g =
       obs::Registry::Global().GetGauge("pxml.engine.backlog");
@@ -225,15 +224,16 @@ std::vector<BatchAnswer> AnswerAll(const std::vector<BatchQuery>& queries,
   return answers;
 }
 
-// ---- Canonical query forms (DESIGN.md §12). Two batch queries with the
-// same canonical fingerprint run the *same evaluation*: kPoint and an
-// object-equals kCondition both dispatch to PointQuery, and kValue is
-// exactly a ValueCompare/kEq condition (ValueQuery forwards there). The
-// fingerprint mixes the full content of every input the evaluation reads
-// — path (start + every label), target object, comparison op, the
+// ---- Canonical query fingerprints (DESIGN.md §12). Two batch queries
+// with the same canonical fingerprint run the *same evaluation*: kPoint
+// and an object-equals kCondition both dispatch to PointQuery, and kValue
+// is exactly a ValueCompare/kEq condition (ValueQuery forwards there).
+// The fingerprint mixes the full content of every input the evaluation
+// reads — path (start + every label), target object, comparison op, the
 // value's kind and complete bit pattern, cardinality label and range —
 // so equal fingerprints mean equal answers by construction (up to a
-// 2^-128 mixing-collision bound).
+// 2^-128 mixing-collision bound). It is the answer-cache key and the
+// flight record's fingerprint.
 
 /// How a query will be evaluated, independent of the BatchQuery kind
 /// that spelled it.
@@ -243,19 +243,6 @@ enum class CanonicalForm : std::uint64_t {
   kValueCmp = 3,     // value comparison: kValue, or kCondition with kValue
   kCardinality = 4,  // kCondition with kCardinality
   kProject = 5,      // AncestorProject
-};
-
-struct CanonicalQuery {
-  CanonicalForm form = CanonicalForm::kExists;
-  /// The path the evaluation walks (points into the BatchQuery).
-  const PathExpression* path = nullptr;
-  /// kPoint only: the target object.
-  ObjectId object = kInvalidId;
-  /// The full canonical identity — the answer-cache key.
-  Fingerprint fp;
-  /// Path-only identity (form-independent): sibling point queries under
-  /// one path share this, which is what groups them into a shared pass.
-  Fingerprint path_fp;
 };
 
 void MixPath(const PathExpression& path, Fingerprint* fp) {
@@ -298,72 +285,70 @@ void MixValue(const Value& value, Fingerprint* fp) {
   }
 }
 
-CanonicalQuery Canonicalize(const BatchQuery& q) {
-  CanonicalQuery c;
+Fingerprint CanonicalFingerprint(const BatchQuery& q) {
+  CanonicalForm form = CanonicalForm::kExists;
+  const PathExpression* path = &q.path;
+  ObjectId object = kInvalidId;
   ValueOp op = ValueOp::kEq;
   const Value* value = nullptr;
   LabelId count_label = kInvalidId;
   IntInterval count_range;
   switch (q.kind) {
     case BatchQuery::Kind::kPoint:
-      c.form = CanonicalForm::kPoint;
-      c.path = &q.path;
-      c.object = q.object;
+      form = CanonicalForm::kPoint;
+      object = q.object;
       break;
     case BatchQuery::Kind::kExists:
-      c.form = CanonicalForm::kExists;
-      c.path = &q.path;
+      form = CanonicalForm::kExists;
       break;
     case BatchQuery::Kind::kValue:
-      c.form = CanonicalForm::kValueCmp;
-      c.path = &q.path;
+      form = CanonicalForm::kValueCmp;
       value = &q.value;
       break;
     case BatchQuery::Kind::kAncestorProject:
-      c.form = CanonicalForm::kProject;
-      c.path = &q.path;
+      form = CanonicalForm::kProject;
       break;
     case BatchQuery::Kind::kCondition:
-      c.path = &q.condition.path;
+      path = &q.condition.path;
       switch (q.condition.kind) {
         case SelectionCondition::Kind::kObject:
-          c.form = CanonicalForm::kPoint;
-          c.object = q.condition.object;
+          form = CanonicalForm::kPoint;
+          object = q.condition.object;
           break;
         case SelectionCondition::Kind::kValue:
-          c.form = CanonicalForm::kValueCmp;
+          form = CanonicalForm::kValueCmp;
           op = q.condition.value_op;
           value = &q.condition.value;
           break;
         case SelectionCondition::Kind::kCardinality:
-          c.form = CanonicalForm::kCardinality;
+          form = CanonicalForm::kCardinality;
           count_label = q.condition.count_label;
           count_range = q.condition.count_range;
           break;
       }
       break;
   }
-  MixPath(*c.path, &c.path_fp);
-  c.fp.Mix(static_cast<std::uint64_t>(c.form));
-  MixPath(*c.path, &c.fp);
-  switch (c.form) {
+  Fingerprint fp;
+  fp.Mix(static_cast<std::uint64_t>(form));
+  MixPath(*path, &fp);
+  switch (form) {
     case CanonicalForm::kPoint:
-      c.fp.Mix(static_cast<std::uint64_t>(c.object));
+      fp.Mix(static_cast<std::uint64_t>(object));
       break;
     case CanonicalForm::kValueCmp:
-      c.fp.Mix(static_cast<std::uint64_t>(op));
-      MixValue(*value, &c.fp);
+      fp.Mix(static_cast<std::uint64_t>(op));
+      MixValue(*value, &fp);
       break;
     case CanonicalForm::kCardinality:
-      c.fp.Mix(static_cast<std::uint64_t>(count_label));
-      c.fp.Mix(count_range.min());
-      c.fp.Mix(count_range.max());
+      fp.Mix(static_cast<std::uint64_t>(count_label));
+      fp.Mix(count_range.min());
+      fp.Mix(count_range.max());
       break;
     case CanonicalForm::kExists:
     case CanonicalForm::kProject:
       break;
   }
-  return c;
+  return fp;
 }
 
 /// Rough resident-byte estimate for a cached projection: the answer
@@ -495,11 +480,6 @@ struct QueryEngine::Epoch {
   std::shared_ptr<const ProbabilisticInstance> instance;
   std::shared_ptr<const FrozenInstance> frozen;  // null: generic dispatch
   std::uint64_t id = 0;
-  /// The instance versions this epoch snapshot captured (borrowing mode
-  /// compares them against the live borrowed instance to detect external
-  /// mutation between runs).
-  std::uint64_t version = 0;
-  std::uint64_t structure_version = 0;
   /// The engine's answer cache (null when off): retirement eagerly drops
   /// every answer cached against this epoch — no reader can ever pin it
   /// again, so its entries are dead weight the moment the refcount hits
@@ -528,7 +508,7 @@ struct QueryEngine::Epoch {
 };
 
 QueryEngine::QueryEngine(ProbabilisticInstance instance, BatchOptions options)
-    : options_(options), owning_(true) {
+    : options_(options) {
   if (options_.threads == 0) {
     options_.threads = std::max(1u, std::thread::hardware_concurrency());
   }
@@ -536,57 +516,21 @@ QueryEngine::QueryEngine(ProbabilisticInstance instance, BatchOptions options)
     pool_ = std::make_unique<ThreadPool>(options_.threads);
   }
   if (options_.answer_cache) {
-    answer_cache_ = std::make_unique<AnswerCache>(options_.answer_cache_bytes);
+    answer_cache_ = std::make_unique<AnswerCache>();
   }
   if (options_.frozen) {
     scratch_pool_ = std::make_unique<EpsilonScratchPool>();
   }
   recorder_ =
       std::make_unique<obs::FlightRecorder>(options_.flight_recorder_capacity);
-  slow_log_ =
-      std::make_unique<obs::SlowQueryLog>(options_.slow_query_log_entries);
+  slow_log_ = std::make_unique<obs::SlowQueryLog>();
   auto inst =
       std::make_shared<const ProbabilisticInstance>(std::move(instance));
   auto epoch = std::make_shared<Epoch>();
   epoch->answer_cache = answer_cache_.get();
   epoch->frozen = BuildFrozen(*inst, nullptr);
   epoch->id = 1;
-  epoch->version = inst->version();
-  epoch->structure_version = inst->structure_version();
   epoch->instance = std::move(inst);
-  head_ = std::move(epoch);
-  head_epoch_.store(1, std::memory_order_release);
-  EpochsPublished().Increment();
-}
-
-QueryEngine::QueryEngine(const ProbabilisticInstance* instance,
-                         BatchOptions options)
-    : options_(options), owning_(false), borrowed_(instance) {
-  if (options_.threads == 0) {
-    options_.threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  if (options_.threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.threads);
-  }
-  if (options_.answer_cache) {
-    answer_cache_ = std::make_unique<AnswerCache>(options_.answer_cache_bytes);
-  }
-  if (options_.frozen) {
-    scratch_pool_ = std::make_unique<EpsilonScratchPool>();
-  }
-  recorder_ =
-      std::make_unique<obs::FlightRecorder>(options_.flight_recorder_capacity);
-  slow_log_ =
-      std::make_unique<obs::SlowQueryLog>(options_.slow_query_log_entries);
-  auto epoch = std::make_shared<Epoch>();
-  epoch->answer_cache = answer_cache_.get();
-  // Non-owning alias: the borrowed instance must outlive the engine.
-  epoch->instance = std::shared_ptr<const ProbabilisticInstance>(
-      std::shared_ptr<const ProbabilisticInstance>(), borrowed_);
-  epoch->frozen = BuildFrozen(*borrowed_, nullptr);
-  epoch->id = 1;
-  epoch->version = borrowed_->version();
-  epoch->structure_version = borrowed_->structure_version();
   head_ = std::move(epoch);
   head_epoch_.store(1, std::memory_order_release);
   EpochsPublished().Increment();
@@ -595,7 +539,6 @@ QueryEngine::QueryEngine(const ProbabilisticInstance* instance,
 QueryEngine::~QueryEngine() = default;
 
 const ProbabilisticInstance& QueryEngine::instance() const {
-  if (!owning_) return *borrowed_;
   std::lock_guard<std::mutex> lock(head_mu_);
   return *head_->instance;
 }
@@ -636,25 +579,6 @@ std::shared_ptr<const FrozenInstance> QueryEngine::BuildFrozen(
 
 std::shared_ptr<const QueryEngine::Epoch> QueryEngine::PinSnapshot() const {
   std::lock_guard<std::mutex> lock(head_mu_);
-  if (!owning_ && (head_->version != borrowed_->version() ||
-                   head_->structure_version !=
-                       borrowed_->structure_version())) {
-    // The borrowed instance was mutated between runs (the borrowing
-    // contract forbids mutation *during* runs, so doing this lazily
-    // under the head mutex is race-free): re-snapshot it as a fresh
-    // epoch.
-    auto epoch = std::make_shared<Epoch>();
-    epoch->answer_cache = answer_cache_.get();
-    epoch->instance = std::shared_ptr<const ProbabilisticInstance>(
-        std::shared_ptr<const ProbabilisticInstance>(), borrowed_);
-    epoch->frozen = BuildFrozen(*borrowed_, head_.get());
-    epoch->id = head_->id + 1;
-    epoch->version = borrowed_->version();
-    epoch->structure_version = borrowed_->structure_version();
-    head_ = std::move(epoch);
-    head_epoch_.store(head_->id, std::memory_order_release);
-    EpochsPublished().Increment();
-  }
   ReaderPins().Increment();
   return head_;
 }
@@ -672,8 +596,6 @@ void QueryEngine::Publish(std::shared_ptr<const ProbabilisticInstance> next) {
   epoch->answer_cache = answer_cache_.get();
   epoch->frozen = BuildFrozen(*next, prev.get());
   epoch->id = prev->id + 1;
-  epoch->version = next->version();
-  epoch->structure_version = next->structure_version();
   epoch->instance = std::move(next);
   {
     std::lock_guard<std::mutex> lock(head_mu_);
@@ -734,7 +656,7 @@ BatchAnswer QueryEngine::ExecuteOne(const BatchQuery& query,
   if (!answer.status.ok() || wall_ns >= options_.slow_query_ns) {
     obs::SlowQueryEntry entry;
     entry.epoch = epoch_id;
-    entry.fingerprint = FoldFp(Canonicalize(query).fp);
+    entry.fingerprint = FoldFp(CanonicalFingerprint(query));
     entry.wall_ns = wall_ns;
     entry.row_ops = answer.profile.opf_row_ops;
     entry.kind = static_cast<std::uint8_t>(query.kind);
@@ -908,135 +830,6 @@ BatchAnswer QueryEngine::ExecuteOneTraced(const BatchQuery& query,
   return answer;
 }
 
-void QueryEngine::ExecuteSharedPoints(
-    const std::vector<BatchQuery>& queries,
-    const std::vector<std::size_t>& members,
-    const ProbabilisticInstance& instance, const FrozenInstance* frozen,
-    std::vector<ProjectionStats>* projection_stats,
-    std::vector<EpsilonStats>* eps_stats, obs::TraceSession* trace,
-    std::deque<QueryControl>* controls, std::uint32_t group_id,
-    std::vector<BatchAnswer>* answers, std::uint64_t epoch_id) const {
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t leader = members.front();
-  QueryControl* control = controls != nullptr ? &(*controls)[leader] : nullptr;
-
-  // Point-form members spell the same evaluation two ways (kPoint, or an
-  // object-equals condition) — read path/object through the form.
-  const auto path_of = [](const BatchQuery& q) -> const PathExpression& {
-    return q.kind == BatchQuery::Kind::kPoint ? q.path : q.condition.path;
-  };
-  const auto object_of = [](const BatchQuery& q) {
-    return q.kind == BatchQuery::Kind::kPoint ? q.object : q.condition.object;
-  };
-  const PathExpression& path = path_of(queries[leader]);
-  std::vector<ObjectId> objects;
-  objects.reserve(members.size());
-  for (std::size_t m : members) objects.push_back(object_of(queries[m]));
-
-  Status status;
-  std::vector<double> probs;
-  {
-    obs::TraceSpan span(trace, "query:shared-points");
-    if (span.enabled()) {
-      span.Arg("targets", static_cast<std::uint64_t>(members.size()));
-    }
-    ParallelOptions parallel;
-    parallel.pool = pool_.get();
-    parallel.min_parallel_width = options_.min_parallel_width;
-
-    EpsilonHooks hooks{&(*eps_stats)[leader]};
-    hooks.trace = trace;
-    hooks.control = control;
-    std::optional<EpsilonScratchPool::Lease> lease;
-    if (frozen != nullptr && scratch_pool_ != nullptr) {
-      lease.emplace(scratch_pool_->Acquire());
-      hooks.frozen = frozen;
-      hooks.scratch = lease->get();
-    }
-
-    // Task-dequeue check, same as ExecuteOne's: a group whose batch
-    // tripped while queued never starts its pass.
-    if (control != nullptr) status = control->CheckNow();
-    if (status.ok()) {
-      Result<std::vector<double>> shared =
-          MultiPointQuery(instance, path, objects, parallel, hooks);
-      if (shared.ok()) {
-        probs = std::move(shared).ValueOrDie();
-      } else {
-        status = shared.status();
-      }
-    }
-
-    if (status.ok()) {
-      const double wall =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      const EpsilonStats& tally = (*eps_stats)[leader];
-      for (std::size_t k = 0; k < members.size(); ++k) {
-        BatchAnswer& a = (*answers)[members[k]];
-        a.probability = probs[k];
-        QueryProfile& prof = a.profile;
-        prof.kind = KindName(queries[members[k]].kind);
-        prof.shared_pass = group_id;
-        prof.span = span.index();
-        prof.dispatch = "shared";
-        QueriesCounter().Increment();
-      }
-      // The leader carries the group's entire work — profile counters,
-      // wall time, and the dispatch verdict — so summing profiles (or
-      // the per-query stats slots) over the batch equals the work done.
-      QueryProfile& lp = (*answers)[leader].profile;
-      lp.epsilon_recomputed =
-          tally.recomputed.load(std::memory_order_relaxed);
-      lp.frozen_passes = tally.frozen_passes.load(std::memory_order_relaxed);
-      lp.generic_passes =
-          tally.generic_passes.load(std::memory_order_relaxed);
-      if (lp.frozen_passes > 0) {
-        lp.dispatch = lp.generic_passes > 0 ? "mixed" : "frozen";
-        lp.simd = simd::BackendName(simd::ActiveBackend());
-        if (frozen != nullptr) lp.kernel = frozen->KernelMix();
-      } else {
-        lp.dispatch = "generic";
-      }
-      lp.opf_row_ops = tally.opf_row_ops.load(std::memory_order_relaxed);
-      lp.entries_materialized =
-          tally.entries_materialized.load(std::memory_order_relaxed);
-      lp.bytes_allocated =
-          tally.bytes_allocated.load(std::memory_order_relaxed);
-      lp.wall_seconds = wall;
-      {
-        static obs::Histogram& h_latency =
-            obs::Registry::Global().GetHistogram("pxml.engine.query_ns");
-        h_latency.Record(static_cast<std::uint64_t>(wall * 1e9));
-      }
-      if (span.enabled()) {
-        span.Arg("dispatch", lp.dispatch);
-        span.Arg("simd", lp.simd);
-        span.Arg("ok", std::uint64_t{1});
-      }
-      return;
-    }
-    if (span.enabled()) span.Arg("ok", std::uint64_t{0});
-  }
-
-  // The shared pass declined (pass-level validation failure or a serving
-  // trip): fall back to evaluating every member on its own, which by
-  // construction reproduces the unshared run's per-query statuses and
-  // answers exactly — e.g. members whose target cannot match the path
-  // answer 0.0 while the others report the validation error, and a
-  // budget trip re-runs each member under its *own* budget, just like an
-  // unshared batch. The declined pass's work stays accounted (once) on
-  // the leader's stats slot; its members' profiles are rebuilt by
-  // ExecuteOne with shared_pass = 0, since no sharing actually served
-  // them.
-  for (std::size_t m : members) {
-    (*answers)[m] =
-        ExecuteOne(queries[m], instance, &(*projection_stats)[m],
-                   &(*eps_stats)[m], frozen, trace,
-                   controls != nullptr ? &(*controls)[m] : nullptr, epoch_id);
-  }
-}
-
 void QueryEngine::RecordShedBatch(const std::vector<BatchQuery>& queries,
                                   const Status& status, int priority,
                                   std::uint64_t epoch_id) const {
@@ -1044,7 +837,7 @@ void QueryEngine::RecordShedBatch(const std::vector<BatchQuery>& queries,
   if (!recorder_->enabled() && !sample) return;
   const std::uint8_t code = static_cast<std::uint8_t>(status.code());
   for (const BatchQuery& q : queries) {
-    const std::uint64_t fp = FoldFp(Canonicalize(q).fp);
+    const std::uint64_t fp = FoldFp(CanonicalFingerprint(q));
     if (recorder_->enabled()) {
       obs::FlightRecord rec;
       rec.epoch = epoch_id;
@@ -1107,142 +900,57 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
 
   std::vector<BatchAnswer> answers(queries.size());
 
-  // ---- Step 1½: batch planning (DESIGN.md §12) — the cross-query reuse
-  // layer, active only when BatchOptions switched it on. Three moves, in
-  // order: (a) probe the epoch-keyed answer cache and serve whole hits
-  // before the admission gate sees them; (b) dedup exact canonical
-  // repeats so one evaluation serves every copy; (c) group the remaining
-  // point-form queries by path so each sibling group runs one shared
-  // multi-target ε pass instead of N. Every move is answer-preserving:
-  // cache hits are bit-identical by the epoch-immutability argument,
-  // dedup copies the leader's (identical) answer, and the shared pass is
-  // bit-identical by the off-spine-ε-is-+0.0 argument (falling back to
-  // per-member execution on any non-OK pass status).
-  const bool probe_cache = options_.answer_cache && answer_cache_ != nullptr;
-  const bool plan_enabled = probe_cache || options_.share_batch_passes;
-  std::vector<CanonicalQuery> canon;
-  std::vector<char> served;            // answered from the answer cache
-  std::vector<std::size_t> leader_of;  // dedup leader (self if none)
-  std::vector<char> in_sibling;        // member of a shared-pass group
-  std::vector<std::uint32_t> group_of;  // shared_pass ids (0 = none)
-  std::vector<std::vector<std::size_t>> sibling_groups;
+  // ---- Step 1½: the answer cache (DESIGN.md §12), when switched on.
+  // Whole-answer hits for the pinned epoch are served here, before the
+  // admission gate sees them; a hit is bit-identical to cold evaluation
+  // because the epoch is immutable. `fps` keeps every query's canonical
+  // fingerprint for the fill step and the flight records.
+  std::vector<Fingerprint> fps;
   std::uint64_t answer_hits = 0;
-  std::uint64_t answer_misses = 0;
-  std::uint64_t shared_served = 0;
-  std::size_t exec_units = queries.size();
-  if (plan_enabled) {
-    canon.resize(queries.size());
-    served.assign(queries.size(), 0);
-    leader_of.resize(queries.size());
-    in_sibling.assign(queries.size(), 0);
-    group_of.assign(queries.size(), 0);
+  if (answer_cache_ != nullptr) {
+    fps.reserve(queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      canon[i] = Canonicalize(queries[i]);
-      leader_of[i] = i;
-    }
-    if (probe_cache) {
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        std::optional<CachedAnswer> hit =
-            answer_cache_->Lookup(epoch->id, canon[i].fp);
-        if (!hit.has_value()) {
-          ++answer_misses;
-          continue;
-        }
-        ++answer_hits;
-        served[i] = 1;
-        BatchAnswer& a = answers[i];
-        a.status = hit->status;
-        a.probability = hit->probability;
-        if (hit->projection != nullptr) {
-          // COW copy: the cached instance itself is never handed out.
-          a.projection.emplace(*hit->projection);
-        }
-        a.profile.kind = KindName(queries[i].kind);
-        a.profile.dispatch = "cached";
-        a.profile.answer_cache_hit = true;
-        QueriesCounter().Increment();
-        if (!a.status.ok()) QueriesFailedCounter().Increment();
+      fps.push_back(CanonicalFingerprint(queries[i]));
+      std::optional<CachedAnswer> hit =
+          answer_cache_->Lookup(epoch->id, fps[i]);
+      if (!hit.has_value()) continue;
+      ++answer_hits;
+      BatchAnswer& a = answers[i];
+      a.status = hit->status;
+      a.probability = hit->probability;
+      if (hit->projection != nullptr) {
+        // COW copy: the cached instance itself is never handed out.
+        a.projection.emplace(*hit->projection);
       }
-    }
-    if (options_.share_batch_passes) {
-      std::unordered_map<Fingerprint, std::size_t, FingerprintHash> first;
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        if (served[i]) continue;
-        auto [it, inserted] = first.try_emplace(canon[i].fp, i);
-        if (!inserted) {
-          leader_of[i] = it->second;
-          ++shared_served;
-        }
-      }
-      std::unordered_map<Fingerprint, std::vector<std::size_t>,
-                         FingerprintHash>
-          by_path;
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        if (served[i] || leader_of[i] != i ||
-            canon[i].form != CanonicalForm::kPoint) {
-          continue;
-        }
-        by_path[canon[i].path_fp].push_back(i);
-      }
-      // Deterministic group numbering: groups are emitted (and numbered
-      // from 1) at their first member's batch position.
-      std::uint32_t next_group = 0;
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        if (served[i] || leader_of[i] != i ||
-            canon[i].form != CanonicalForm::kPoint) {
-          continue;
-        }
-        auto it = by_path.find(canon[i].path_fp);
-        if (it == by_path.end() || it->second.size() < 2 ||
-            it->second.front() != i) {
-          continue;
-        }
-        const std::uint32_t id = ++next_group;
-        for (std::size_t m : it->second) {
-          group_of[m] = id;
-          in_sibling[m] = 1;
-        }
-        shared_served += it->second.size() - 1;
-        sibling_groups.push_back(it->second);
-      }
-      // Duplicate followers ride their leader's group; a leader with
-      // followers but no sibling group gets its own id.
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        if (leader_of[i] == i) continue;
-        const std::size_t l = leader_of[i];
-        if (group_of[l] == 0) group_of[l] = ++next_group;
-        group_of[i] = group_of[l];
-      }
-    }
-    // What will actually execute: one unit per single query, one per
-    // shared pass (a group costs roughly one pass, which is the point).
-    exec_units = sibling_groups.size();
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      if (!served[i] && leader_of[i] == i && !in_sibling[i]) ++exec_units;
+      a.profile.kind = KindName(queries[i].kind);
+      a.profile.dispatch = "cached";
+      a.profile.answer_cache_hit = true;
+      QueriesCounter().Increment();
+      if (!a.status.ok()) QueriesFailedCounter().Increment();
     }
   }
-  const auto runs_own_query = [&](std::size_t i) {
-    return !plan_enabled ||
-           (!served[i] && leader_of[i] == i && !in_sibling[i]);
+  const std::uint64_t answer_misses =
+      answer_cache_ != nullptr ? queries.size() - answer_hits : 0;
+  const auto cached = [&answers](std::size_t i) {
+    return answers[i].profile.answer_cache_hit;
   };
 
   // ---- Step 2: admission. The estimate is deliberately cheap and
   // per-query uniform: one ε pass visits every compiled row once, so
-  // (rows + objects) × units bounds the batch's row-op cost from below.
-  // No frozen form → fall back to the object count. Units are what the
-  // batch will actually evaluate: cache hits and deduped/shared
-  // followers bypass the cost gate — they cost no passes.
+  // (rows + objects) × evaluated queries bounds the batch's row-op cost
+  // from below. No frozen form → fall back to the object count. Cache
+  // hits cost no pass, so only the misses count.
   const std::uint64_t per_query_cost =
       frozen != nullptr
           ? static_cast<std::uint64_t>(frozen->num_rows() +
                                        frozen->num_ids())
           : static_cast<std::uint64_t>(pinned.weak().dict().num_objects());
-  // Sample the pool backlog at arrival — the pressure number the
-  // watermark gate sheds on, exported as a gauge.
+  // Sample the pool backlog at arrival, exported as a gauge.
   BacklogGauge().Set(pool_ != nullptr
                          ? static_cast<std::int64_t>(pool_->queued_tasks())
                          : 0);
-  const Status admitted = Admit(request, per_query_cost * exec_units);
+  const Status admitted =
+      Admit(request, per_query_cost * (queries.size() - answer_hits));
   if (!admitted.ok()) {
     RejectedBatches().Increment();
     ShedWaitNs().Record(static_cast<std::uint64_t>(
@@ -1293,7 +1001,6 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
                               std::size_t i) -> QueryControl* {
     return controlled ? &controls[i] : nullptr;
   };
-  std::deque<QueryControl>* controls_ptr = controlled ? &controls : nullptr;
 
   // Per-query stats slots, merged sequentially below: each query tallies
   // into private counters (which also feed its QueryProfile), keeping
@@ -1304,22 +1011,16 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
   const std::uint64_t epoch_id = epoch->id;
   if (pool_ == nullptr) {
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      if (!runs_own_query(i)) continue;
+      if (cached(i)) continue;
       answers[i] = ExecuteOne(queries[i], pinned, &projection_stats[i],
                               &eps_stats[i], frozen, trace, control_of(i),
                               epoch_id);
-    }
-    for (std::size_t g = 0; g < sibling_groups.size(); ++g) {
-      ExecuteSharedPoints(queries, sibling_groups[g], pinned, frozen,
-                          &projection_stats, &eps_stats, trace, controls_ptr,
-                          group_of[sibling_groups[g].front()], &answers,
-                          epoch_id);
     }
   } else {
     ThreadPool::BatchMetricsScope metrics_scope(&pool_metrics);
     TaskGroup group(pool_.get());
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      if (!runs_own_query(i)) continue;
+      if (cached(i)) continue;
       group.Run([this, &queries, &answers, &projection_stats, &eps_stats,
                  &pinned, &control_of, frozen, trace, epoch_id, i] {
         answers[i] = ExecuteOne(queries[i], pinned, &projection_stats[i],
@@ -1327,64 +1028,31 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
                                 epoch_id);
       });
     }
-    for (std::size_t g = 0; g < sibling_groups.size(); ++g) {
-      group.Run([this, &queries, &answers, &projection_stats, &eps_stats,
-                 &pinned, &sibling_groups, &group_of, controls_ptr, frozen,
-                 trace, epoch_id, g] {
-        ExecuteSharedPoints(queries, sibling_groups[g], pinned, frozen,
-                            &projection_stats, &eps_stats, trace,
-                            controls_ptr,
-                            group_of[sibling_groups[g].front()], &answers,
-                            epoch_id);
-      });
-    }
     group.Wait();
   }
 
-  // Duplicate followers copy their leader's (identical) answer — status,
-  // probability, and a COW copy of any projection — with a zero-work
-  // profile riding the leader's group id.
-  if (plan_enabled) {
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      if (leader_of[i] == i) continue;
-      const BatchAnswer& la = answers[leader_of[i]];
-      BatchAnswer& a = answers[i];
-      a.status = la.status;
-      a.probability = la.probability;
-      if (la.projection.has_value()) a.projection.emplace(*la.projection);
-      a.profile.kind = KindName(queries[i].kind);
-      a.profile.dispatch = "shared";
-      a.profile.shared_pass = group_of[i];
-      QueriesCounter().Increment();
-      if (!a.status.ok()) QueriesFailedCounter().Increment();
-    }
-  }
-
   // Feed the answer cache while the epoch is still pinned (so the insert
-  // cannot race its own DropEpoch): every evaluated leader with a
-  // deterministic outcome. Followers share their leader's fingerprint;
-  // cache hits are already resident.
-  if (probe_cache) {
+  // cannot race its own DropEpoch): every evaluated query with a
+  // deterministic outcome. Cache hits are already resident.
+  if (answer_cache_ != nullptr) {
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      if (served[i] || leader_of[i] != i) continue;
-      if (!AnswerCache::Cacheable(answers[i].status)) continue;
-      CachedAnswer cached;
-      cached.status = answers[i].status;
-      cached.probability = answers[i].probability;
+      if (cached(i) || !AnswerCache::Cacheable(answers[i].status)) continue;
+      CachedAnswer entry;
+      entry.status = answers[i].status;
+      entry.probability = answers[i].probability;
       if (answers[i].projection.has_value()) {
-        cached.projection = std::make_shared<const ProbabilisticInstance>(
+        entry.projection = std::make_shared<const ProbabilisticInstance>(
             *answers[i].projection);
       }
-      answer_cache_->Insert(epoch->id, canon[i].fp, cached,
+      answer_cache_->Insert(epoch->id, fps[i], entry,
                             AnswerPayloadBytes(answers[i]));
     }
   }
 
   // Completion loop: stamp the epoch, tally trip codes, and write each
   // query's flight record — the one always-on write per completion the
-  // ≤2% recorder gate bounds. The fingerprint reuses the planner's
-  // canonical form when planning ran; otherwise it is mixed here
-  // (O(path length) — the same cost the planner would have paid).
+  // ≤2% recorder gate bounds. The fingerprint reuses the cache step's
+  // when it ran; otherwise it is mixed here (O(path length)).
   const bool record_flights = recorder_->enabled();
   for (std::size_t i = 0; i < queries.size(); ++i) {
     BatchAnswer& a = answers[i];
@@ -1393,8 +1061,9 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
     if (record_flights) {
       obs::FlightRecord rec;
       rec.epoch = epoch_id;
-      rec.fingerprint = FoldFp(plan_enabled ? canon[i].fp
-                                            : Canonicalize(queries[i]).fp);
+      rec.fingerprint = FoldFp(answer_cache_ != nullptr
+                                   ? fps[i]
+                                   : CanonicalFingerprint(queries[i]));
       rec.wall_ns =
           static_cast<std::uint64_t>(a.profile.wall_seconds * 1e9);
       rec.row_ops = a.profile.opf_row_ops;
@@ -1403,7 +1072,6 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
       rec.priority = ClampPriority(request.priority);
       rec.flags = obs::kRecordAdmitted;
       if (a.profile.answer_cache_hit) rec.flags |= obs::kRecordCached;
-      if (a.profile.shared_pass != 0) rec.flags |= obs::kRecordShared;
       if (a.profile.frozen_passes > 0) rec.flags |= obs::kRecordFrozen;
       if (a.profile.generic_passes > 0) rec.flags |= obs::kRecordGeneric;
       if (a.profile.frozen_passes > 0 &&
@@ -1451,7 +1119,6 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
     }
     stats->answer_cache_hits = answer_hits;
     stats->answer_cache_misses = answer_misses;
-    stats->shared_queries = shared_served;
     stats->threads = threads();
     if (pool_ != nullptr) {
       // Exact: group.Wait() above quiesced every task of this batch (the
@@ -1495,23 +1162,13 @@ BatchAnswer QueryEngine::RunOne(const BatchQuery& query,
 
 Status QueryEngine::Admit(const QueryRequest& request,
                           std::uint64_t estimated_cost) const {
-  // Priority > 0 (critical) bypasses the load-shedding gates; everything
-  // still honors the hard in-flight limit below.
-  if (request.priority <= 0) {
-    if (options_.queue_depth_watermark != 0 && pool_ != nullptr) {
-      const std::size_t backlog = pool_->queued_tasks();
-      if (backlog > options_.queue_depth_watermark) {
-        return Status::Rejected(
-            StrCat("admission: pool backlog ", backlog, " tasks above the ",
-                   options_.queue_depth_watermark, "-task watermark"));
-      }
-    }
-    if (options_.max_estimated_row_ops != 0 &&
-        estimated_cost > options_.max_estimated_row_ops) {
-      return Status::Rejected(StrCat(
-          "admission: estimated cost ", estimated_cost,
-          " row-ops above the ", options_.max_estimated_row_ops, " limit"));
-    }
+  // Priority > 0 (critical) bypasses the cost gate; everything still
+  // honors the hard in-flight limit below.
+  if (request.priority <= 0 && options_.max_estimated_row_ops != 0 &&
+      estimated_cost > options_.max_estimated_row_ops) {
+    return Status::Rejected(StrCat(
+        "admission: estimated cost ", estimated_cost, " row-ops above the ",
+        options_.max_estimated_row_ops, " limit"));
   }
   if (options_.max_in_flight_batches == 0) {
     in_flight_batches_.fetch_add(1, std::memory_order_relaxed);
@@ -1588,23 +1245,19 @@ QueryEngine::MutationGuard::MutationGuard(QueryEngine* engine)
   // pin the committed head epoch and never block here.
   engine_->mutators_.fetch_add(1, std::memory_order_acq_rel);
   writer_lock_ = std::unique_lock<std::mutex>(engine_->writer_mu_);
-  if (engine_->owning_) {
-    // Copy-on-write working copy of the committed head. The copy shares
-    // W and every ℘ chunk with the head, so it costs one pointer per
-    // ProbabilisticInstance::kChunkSize objects; a write clones only the
-    // chunk it lands in. No mutation here touches W mutably, so every
-    // epoch shares one W. Readers keep querying the head epoch untouched
-    // until ~MutationGuard publishes.
-    std::shared_ptr<const Epoch> head;
-    {
-      std::lock_guard<std::mutex> lock(engine_->head_mu_);
-      head = engine_->head_;
-    }
-    working_ = std::make_shared<ProbabilisticInstance>(*head->instance);
-    base_version_ = working_->version();
+  // Copy-on-write working copy of the committed head. The copy shares W
+  // and every ℘ chunk with the head, so it costs one pointer per
+  // ProbabilisticInstance::kChunkSize objects; a write clones only the
+  // chunk it lands in. No mutation here touches W mutably, so every epoch
+  // shares one W. Readers keep querying the head epoch untouched until
+  // ~MutationGuard publishes.
+  std::shared_ptr<const Epoch> head;
+  {
+    std::lock_guard<std::mutex> lock(engine_->head_mu_);
+    head = engine_->head_;
   }
-  // Borrowing mode: working_ stays null and every mutation entry point
-  // reports FailedPrecondition, same as before MVCC.
+  working_ = std::make_shared<ProbabilisticInstance>(*head->instance);
+  base_version_ = working_->version();
 }
 
 QueryEngine::MutationGuard::MutationGuard(MutationGuard&& other) noexcept
@@ -1620,7 +1273,7 @@ QueryEngine::MutationGuard::~MutationGuard() {
   // Publish only if something actually changed: an abandoned guard (all
   // mutations failed, or none attempted) retires silently and readers
   // never see a new epoch.
-  if (working_ != nullptr && working_->version() != base_version_) {
+  if (working_->version() != base_version_) {
     engine_->Publish(std::move(working_));
   }
   working_.reset();
@@ -1628,46 +1281,28 @@ QueryEngine::MutationGuard::~MutationGuard() {
   engine_->mutators_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-ProbabilisticInstance* QueryEngine::MutationGuard::working() {
-  return working_.get();
-}
-
 Status QueryEngine::MutationGuard::UpdateOpf(ObjectId o,
                                              std::unique_ptr<Opf> opf) {
-  ProbabilisticInstance* target = working();
-  if (target == nullptr) {
-    return Status::FailedPrecondition(
-        "mutation on a query-only (borrowing) engine");
-  }
   // Const structural access: Present() must not trip the conservative
   // structure-version cache flush reserved for real structural surgery.
-  if (!std::as_const(*target).weak().Present(o)) {
+  if (!std::as_const(*working_).weak().Present(o)) {
     return Status::UnknownObject(StrCat("object id ", o, " not present"));
   }
-  return target->SetOpf(o, std::move(opf));
+  return working_->SetOpf(o, std::move(opf));
 }
 
 Status QueryEngine::MutationGuard::UpdateVpf(ObjectId o, Vpf vpf) {
-  ProbabilisticInstance* target = working();
-  if (target == nullptr) {
-    return Status::FailedPrecondition(
-        "mutation on a query-only (borrowing) engine");
-  }
   // Const structural access: Present() must not trip the conservative
   // structure-version cache flush reserved for real structural surgery.
-  if (!std::as_const(*target).weak().Present(o)) {
+  if (!std::as_const(*working_).weak().Present(o)) {
     return Status::UnknownObject(StrCat("object id ", o, " not present"));
   }
-  return target->SetVpf(o, std::move(vpf));
+  return working_->SetVpf(o, std::move(vpf));
 }
 
 Status QueryEngine::MutationGuard::ReplaceSubtree(
     ObjectId at, const ProbabilisticInstance& donor, ObjectId donor_root) {
-  ProbabilisticInstance* target = working();
-  if (target == nullptr) {
-    return Status::FailedPrecondition(
-        "mutation on a query-only (borrowing) engine");
-  }
+  ProbabilisticInstance* target = working_.get();
   // Const structural access throughout: ReplaceSubtree only rewrites ℘,
   // so it must not trip the conservative structure-version flush.
   const WeakInstance& tw = std::as_const(*target).weak();

@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -50,21 +49,9 @@ struct BatchOptions {
   /// epoch are dropped wholesale when its last reader unpins). Off by
   /// default: turning it on changes the engine's *work* counters
   /// (cache-hit queries report zero row-ops and bypass the admission
-  /// cost gate), never its answers.
+  /// cost gate), never its answers. The cache holds up to
+  /// AnswerCache::kDefaultBudgetBytes.
   bool answer_cache = false;
-  /// Global byte budget for the answer cache, split evenly across its
-  /// shards (see AnswerCache; entries are byte-estimated, projections by
-  /// object count).
-  std::size_t answer_cache_bytes = AnswerCache::kDefaultBudgetBytes;
-  /// Intra-batch ε-sharing switch (DESIGN.md §12). With it on, the batch
-  /// is planned before dispatch: exact repeats of one canonical query are
-  /// answered once, and point queries targeting different objects under
-  /// the same path run as one shared multi-target ε pass instead of N
-  /// independent passes. Answers stay bit-identical to the unshared run;
-  /// the whole shared pass's work is accounted on its first (leader)
-  /// query's profile so batch totals still reconcile exactly. Off by
-  /// default for the same counter-stability reason as `answer_cache`.
-  bool share_batch_passes = false;
   /// Frozen-kernel switch. With it on, every committed epoch carries a
   /// FrozenInstance compiled form (see query/frozen.h) and
   /// ε/marginalization passes run through the representation-specialized
@@ -77,23 +64,19 @@ struct BatchOptions {
   /// non-children) silently use the generic path.
   bool frozen = true;
 
-  // ---- Admission control (DESIGN.md §11). All three gates default to
-  // off, so an engine constructed with default options admits everything
-  // and behaves exactly as before they existed.
+  // ---- Admission control (DESIGN.md §11). Both gates default to off,
+  // so an engine constructed with default options admits everything and
+  // behaves exactly as before they existed.
   /// Batches allowed to execute concurrently; 0 = unlimited. At the
   /// limit, a request with priority >= 0 queues on a condition variable
   /// (bounded by its deadline, if it set one) until a slot frees; a
   /// priority < 0 (best-effort) request is shed immediately with
   /// kRejected.
   std::size_t max_in_flight_batches = 0;
-  /// Pool backlog watermark: a batch arriving while more than this many
-  /// tasks sit unclaimed in the pool queues (ThreadPool::queued_tasks())
-  /// is shed with kRejected, unless its priority is > 0. 0 = off.
-  std::size_t queue_depth_watermark = 0;
-  /// Pre-dispatch cost gate: a batch whose estimated row-op cost
-  /// (queries × the pinned frozen snapshot's CSR row count; object count
-  /// when there is no frozen form) exceeds this is shed with kRejected,
-  /// unless its priority is > 0. 0 = off.
+  /// Pre-dispatch cost gate: a batch whose estimated row-op cost (the
+  /// queries that missed the answer cache × the pinned frozen snapshot's
+  /// CSR row count; object count when there is no frozen form) exceeds
+  /// this is shed with kRejected, unless its priority is > 0. 0 = off.
   std::uint64_t max_estimated_row_ops = 0;
 
   // ---- Operational observability (DESIGN.md §13).
@@ -110,10 +93,9 @@ struct BatchOptions {
   std::uint64_t slow_query_ns = 0;
   /// Flight-recorder ring capacity in records (rounded up to a power of
   /// two). The recorder is the always-on layer: one compact record per
-  /// completed query, overwritten oldest-first. 0 disables it.
+  /// completed query, overwritten oldest-first. 0 disables it. (The
+  /// slow-query log keeps obs::SlowQueryLog::kDefaultMaxEntries entries.)
   std::size_t flight_recorder_capacity = obs::FlightRecorder::kDefaultCapacity;
-  /// Slow-query log depth (retained entries past it evict oldest-first).
-  std::size_t slow_query_log_entries = obs::SlowQueryLog::kDefaultMaxEntries;
 };
 
 /// Per-call execution policy: the read consistency (DESIGN.md §7) plus
@@ -142,8 +124,8 @@ struct QueryRequest {
   /// 0 = unlimited.
   std::uint64_t row_op_budget = 0;
   /// Admission class: < 0 is best-effort (shed first, never queues for a
-  /// slot), 0 is normal, > 0 is critical (bypasses the backlog watermark
-  /// and the cost gate; still bounded by max_in_flight_batches).
+  /// slot), 0 is normal, > 0 is critical (bypasses the cost gate; still
+  /// bounded by max_in_flight_batches).
   int priority = 0;
   /// Snapshot isolation is the default: a query pins the most recently
   /// *committed* epoch and succeeds even while a MutationGuard is open,
@@ -217,10 +199,7 @@ struct BatchStats : ProjectionStats {
   /// epoch-keyed cache vs probed-and-missed.
   std::uint64_t answer_cache_hits = 0;
   std::uint64_t answer_cache_misses = 0;
-  /// Queries answered by intra-batch sharing rather than their own pass
-  /// (0 unless BatchOptions::share_batch_passes): exact-duplicate
-  /// followers plus sibling-group members riding a leader's shared
-  /// multi-target pass.
+  /// Always 0 — see EpsilonMemoCache below.
   std::uint64_t shared_queries = 0;
 };
 
@@ -306,11 +285,6 @@ struct QueryProfile {
   /// cache (dispatch reads "cached" and every work counter is zero — the
   /// original evaluation's work was accounted when it ran).
   bool answer_cache_hit = false;
-  /// Intra-batch sharing group this query rode (0 = none; groups are
-  /// numbered from 1 within the batch). Duplicate followers carry their
-  /// leader's group id with zero work counters; a sibling-pass leader
-  /// carries the group's entire work on its own counters.
-  std::uint32_t shared_pass = 0;
 };
 
 /// The answer to one BatchQuery. `status` is per-query: one failing query
@@ -326,13 +300,14 @@ struct BatchAnswer {
   QueryProfile profile;
 };
 
-/// The retired ε-memo surface. These five names read zero and exist only
-/// because bench/e2e (the end-to-end benchmark, which changes only
-/// together with its definition in BENCHMARK.json) compiles against them:
-/// EpsilonMemoCache::Stats, QueryEngine::cache_stats(),
-/// QueryEngine::cache_size(), BatchStats::cache_lookups and
-/// BatchStats::cache_hits. The next benchmark change removes them
-/// together with its epsilon_cache.* per-layer metrics.
+/// The retired ε-memo and ε-sharing surface. These six names read zero
+/// and exist only because bench/e2e (the end-to-end benchmark, which
+/// changes only together with its definition in BENCHMARK.json) compiles
+/// against them: EpsilonMemoCache::Stats, QueryEngine::cache_stats(),
+/// QueryEngine::cache_size(), BatchStats::cache_lookups,
+/// BatchStats::cache_hits and BatchStats::shared_queries. The next
+/// benchmark change removes them together with its epsilon_cache.* and
+/// engine.shared_queries_per_batch per-layer metrics.
 struct EpsilonMemoCache {
   struct Stats {
     std::uint64_t invalidated = 0;
@@ -340,17 +315,14 @@ struct EpsilonMemoCache {
   };
 };
 
-/// The unified query facade: owns (or borrows) a probabilistic instance
-/// together with the work-stealing thread pool, and mediates every query
-/// and every mutation through immutable committed epochs.
-///
-/// Two modes:
-///  - *Owning* (construct from a ProbabilisticInstance by value): the
-///    engine is the only writer, so the mutation API (UpdateOpf /
-///    UpdateVpf / ReplaceSubtree / BeginMutations) is available and every
-///    update flows through the instance's version bookkeeping.
-///  - *Borrowing* (construct from a const pointer): query-only; mutation
-///    calls return FailedPrecondition.
+/// The unified query facade: owns a probabilistic instance together
+/// with the work-stealing thread pool, and mediates every query and every
+/// mutation through immutable committed epochs. The engine is the
+/// instance's only writer: every update goes through the mutation API
+/// (UpdateOpf / UpdateVpf / ReplaceSubtree / BeginMutations) and the
+/// instance's version bookkeeping. Constructing one from an instance the
+/// caller keeps is cheap — a ProbabilisticInstance copy shares W and the
+/// ℘ chunks until either side writes.
 ///
 /// Concurrency contract (epoch-based snapshot isolation, DESIGN.md §7):
 /// the engine maintains a sequence of immutable committed *epochs*, each
@@ -380,13 +352,8 @@ struct EpsilonMemoCache {
 /// leases).
 class QueryEngine {
  public:
-  /// Owning mode: the engine takes the instance (move it in) and exposes
-  /// the mutation API.
+  /// Takes the instance (move it in, or pass a copy).
   explicit QueryEngine(ProbabilisticInstance instance,
-                       BatchOptions options = {});
-  /// Borrowing, query-only mode: `instance` must outlive the engine and
-  /// must not be mutated behind the engine's back while queries run.
-  explicit QueryEngine(const ProbabilisticInstance* instance,
                        BatchOptions options = {});
   ~QueryEngine();
 
@@ -396,14 +363,11 @@ class QueryEngine {
   /// Worker threads actually in use (1 = serial path, no pool).
   std::size_t threads() const;
 
-  /// The most recently committed instance. In owning mode this reflects
-  /// every mutation scope that has *closed*; the reference is valid until
-  /// the next mutation commits (the epoch holding it may be reclaimed
-  /// after that), so don't cache it across writes. In borrowing mode it
-  /// is simply the borrowed instance.
+  /// The most recently committed instance: it reflects every mutation
+  /// scope that has *closed*. The reference is valid until the next
+  /// mutation commits (the epoch holding it may be reclaimed after that),
+  /// so don't cache it across writes.
   const ProbabilisticInstance& instance() const;
-
-  bool owns_instance() const { return owning_; }
 
   /// The id of the current head epoch (starts at 1; each committed
   /// mutation scope publishes the next). Lock-free.
@@ -519,9 +483,6 @@ class QueryEngine {
     friend class QueryEngine;
     explicit MutationGuard(QueryEngine* engine);
 
-    /// The working copy, or null on a borrowing engine (mutations fail).
-    ProbabilisticInstance* working();
-
     QueryEngine* engine_ = nullptr;  // null after move-out
     std::unique_lock<std::mutex> writer_lock_;
     /// Private next version; published by ~MutationGuard iff dirty.
@@ -599,31 +560,6 @@ class QueryEngine {
                        const Status& status, int priority,
                        std::uint64_t epoch_id) const;
 
-  /// Evaluates one sibling group of point-form queries (identical path,
-  /// distinct target objects) as a single shared multi-target ε pass
-  /// (BatchOptions::share_batch_passes). One pruned-layer walk serves
-  /// every target; the first member (the leader) carries the pass's
-  /// whole work on its profile and QueryControl, and the other members
-  /// get their per-target probability with zero counters and the same
-  /// shared_pass id. Answers are bit-identical to evaluating each query
-  /// alone: if the shared pass returns any non-OK status (pass-level
-  /// validation failure or a serving trip), every member falls back to
-  /// its own ExecuteOne so per-query statuses match the unshared run
-  /// exactly. `members` indexes into `queries`/`answers`;
-  /// `projection_stats`/`eps_stats`/`controls` are the batch's per-query
-  /// slot arrays (controls null for an unconstrained request).
-  void ExecuteSharedPoints(const std::vector<BatchQuery>& queries,
-                           const std::vector<std::size_t>& members,
-                           const ProbabilisticInstance& instance,
-                           const FrozenInstance* frozen,
-                           std::vector<ProjectionStats>* projection_stats,
-                           std::vector<EpsilonStats>* eps_stats,
-                           obs::TraceSession* trace,
-                           std::deque<QueryControl>* controls,
-                           std::uint32_t group_id,
-                           std::vector<BatchAnswer>* answers,
-                           std::uint64_t epoch_id) const;
-
   /// The admission decision for one batch (step 2 of Run's serving
   /// path). Returns OK once the batch may execute — having bumped
   /// in_flight_batches_ — or the shed status (kRejected; kDeadlineExceeded
@@ -634,10 +570,7 @@ class QueryEngine {
   /// Releases an Admit slot and wakes one queued waiter.
   void ReleaseAdmission() const;
 
-  /// Pins the current head epoch (never null). In borrowing mode this
-  /// lazily re-snapshots when the borrowed instance's versions moved
-  /// since the head froze (external mutation between runs — the
-  /// borrowing contract forbids it *during* runs).
+  /// Pins the current head epoch (never null).
   std::shared_ptr<const Epoch> PinSnapshot() const;
 
   /// Compiles the frozen form for a new epoch: incremental Refreeze from
@@ -646,14 +579,11 @@ class QueryEngine {
   std::shared_ptr<const FrozenInstance> BuildFrozen(
       const ProbabilisticInstance& instance, const Epoch* prev) const;
 
-  /// Atomically publishes `next` as the new head epoch (owning mode;
-  /// called by ~MutationGuard with the writer lock held).
+  /// Atomically publishes `next` as the new head epoch (called by
+  /// ~MutationGuard with the writer lock held).
   void Publish(std::shared_ptr<const ProbabilisticInstance> next);
 
   BatchOptions options_;
-  bool owning_ = false;
-  /// Borrowing mode only: the external instance head_ wraps (unowned).
-  const ProbabilisticInstance* borrowed_ = nullptr;
   std::unique_ptr<ThreadPool> pool_;              // null when threads() == 1
   std::unique_ptr<EpsilonScratchPool> scratch_pool_;  // null when frozen off
   /// Epoch-keyed answer cache (null when options.answer_cache off).
@@ -663,15 +593,13 @@ class QueryEngine {
 
   /// The epoch table head. Readers copy it under the mutex (one
   /// shared_ptr bump); the writer replaces it at publish. Old epochs live
-  /// on exactly as long as some reader still pins them.
+  /// on exactly as long as some reader still pins them. An unfreezable
+  /// instance costs one failed Freeze attempt per *epoch*, not per query:
+  /// the epoch records its null frozen form.
   mutable std::mutex head_mu_;
-  mutable std::shared_ptr<const Epoch> head_;
+  std::shared_ptr<const Epoch> head_;
   /// head_->id mirror for lock-free reads (snapshot-age accounting).
-  /// An unfreezable instance costs one failed Freeze attempt per
-  /// *epoch*, not per query: the epoch records its null frozen form
-  /// alongside the versions it captured, and nothing rebuilds it until
-  /// the versions move.
-  mutable std::atomic<std::uint64_t> head_epoch_{0};
+  std::atomic<std::uint64_t> head_epoch_{0};
 
   /// Serializes mutation scopes (writer-writer only; readers never touch
   /// it).

@@ -10,20 +10,15 @@ namespace pxml {
 
 namespace {
 
-/// Evaluates ε for one object from its (finalized) children's ε values,
-/// interpreting ℘(o) generically: child ε comes from `eps_of` — the
-/// pass-wide eps array on the full pass, the spine-restricted
-/// one-nonzero-child view on the shared pass (RootEpsilonShared). Shared
-/// between the two passes so their per-row accumulation order is the
-/// *same code*, the basis of the shared pass's bit-identity claim.
+/// Evaluates ε for one object from its (finalized) children's ε values
+/// in `eps` (indexed by ObjectId), interpreting ℘(o) generically.
 /// Streamed supports block-charge `control` every 1024 ops; those ops
 /// are tallied here and excluded from `ops_out`, so the caller's final
 /// Charge(ops_out) + tally.opf_row_ops stays exact even when the stream
 /// trips mid-support.
-template <typename EpsOf>
 Status EvalObjectEps(const ProbabilisticInstance& instance,
                      const WeakInstance& weak, ObjectId o,
-                     const IdSet& retained, EpsOf&& eps_of,
+                     const IdSet& retained, const std::vector<double>& eps,
                      QueryControl* control, EpsilonStats& tally,
                      double& e_out, std::uint64_t& ops_out,
                      std::uint64_t& materialized_out,
@@ -44,7 +39,7 @@ Status EvalObjectEps(const ProbabilisticInstance& instance,
     double none = 1.0;
     ops += ind->children().size();
     for (const auto& [child, p] : ind->children()) {
-      if (retained.Contains(child)) none *= 1.0 - p * eps_of(child);
+      if (retained.Contains(child)) none *= 1.0 - p * eps[child];
     }
     e = 1.0 - none;
   } else if (const auto* ex = dynamic_cast<const ExplicitOpf*>(opf)) {
@@ -56,7 +51,7 @@ Status EvalObjectEps(const ProbabilisticInstance& instance,
       ops += 1 + row.child_set.size();
       double none = 1.0;
       row.child_set.ForEachIntersecting(
-          retained, [&](ObjectId j) { none *= 1.0 - eps_of(j); });
+          retained, [&](ObjectId j) { none *= 1.0 - eps[j]; });
       e += row.prob * (1.0 - none);
     }
   } else {
@@ -75,7 +70,7 @@ Status EvalObjectEps(const ProbabilisticInstance& instance,
       ops += 1 + row.child_set.size();
       double none = 1.0;
       row.child_set.ForEachIntersecting(
-          retained, [&](ObjectId j) { none *= 1.0 - eps_of(j); });
+          retained, [&](ObjectId j) { none *= 1.0 - eps[j]; });
       e += row.prob * (1.0 - none);
       if (control != nullptr && ops - charged >= 1024) {
         stream_status = control->Charge(ops - charged);
@@ -219,9 +214,9 @@ Result<double> EpsilonPropagator::RootEpsilonGeneric(
     std::uint64_t ops = 0;
     std::uint64_t materialized = 0;
     std::uint64_t bytes = 0;
-    PXML_RETURN_IF_ERROR(EvalObjectEps(
-        instance_, weak, o, retained, [&](ObjectId j) { return eps[j]; },
-        control_, tally, e, ops, materialized, bytes));
+    PXML_RETURN_IF_ERROR(EvalObjectEps(instance_, weak, o, retained, eps,
+                                       control_, tally, e, ops, materialized,
+                                       bytes));
     eps[o] = e;
     tally.recomputed.fetch_add(1, std::memory_order_relaxed);
     tally.opf_row_ops.fetch_add(ops, std::memory_order_relaxed);
@@ -265,166 +260,6 @@ Result<double> EpsilonPropagator::RootEpsilonGeneric(
     }
   }
   return eps[weak.root()];
-}
-
-Status EpsilonPropagator::RootEpsilonShared(
-    const PathExpression& path, std::span<const TargetEps> targets,
-    std::span<double> out) const {
-  if (frozen_ != nullptr && scratch_ != nullptr &&
-      frozen_->InSyncWith(instance_)) {
-    return FrozenRootEpsilonShared(*frozen_, instance_, path, targets,
-                                   parallel_, stats_, scratch_, trace_,
-                                   control_, out);
-  }
-  obs::TraceSpan span(trace_, "epsilon");
-  if (span.enabled()) span.Arg("shared_targets", targets.size());
-  EpsilonStats tally;
-  Status status = RootEpsilonSharedGeneric(path, targets, out, tally);
-  FlushEpsilonPass(tally, stats_, span, /*frozen=*/false);
-  return status;
-}
-
-Status EpsilonPropagator::RootEpsilonSharedGeneric(
-    const PathExpression& path, std::span<const TargetEps> targets,
-    std::span<double> out, EpsilonStats& tally) const {
-  const WeakInstance& weak = instance_.weak();
-  PXML_ASSIGN_OR_RETURN(std::vector<IdSet> layers,
-                        PrunedWeakPathLayers(weak, path));
-  const std::size_t n = path.labels.size();
-
-  // Pass-level validation, applied per target below: a cold PointQuery
-  // answers 0.0 for an off-final-layer target *before* any of these
-  // checks can fire, so the errors reach only the targets that would
-  // actually have run a pass. The OPF sweep replays the full pass's
-  // error behavior (missing OPFs, deepest level first, frontier order)
-  // without any row work.
-  Status sweep = CheckWeakTree(weak);
-  if (sweep.ok() && path.start != weak.root()) {
-    sweep =
-        Status::BadPath("epsilon propagation paths must start at the root");
-  }
-  for (std::size_t level = n; level-- > 0 && sweep.ok();) {
-    for (ObjectId o : layers[level]) {
-      if (instance_.GetOpf(o) == nullptr) {
-        sweep = Status::FailedPrecondition(
-            StrCat("non-leaf '", weak.dict().ObjectName(o), "' has no OPF"));
-        break;
-      }
-    }
-  }
-
-  // Parent pointers over the pruned layers. Unique in a tree, and every
-  // pruned layer-(i+1) object's parent survives pruning (it has a
-  // retained child by definition), so each spine walk reaches the root.
-  // For n == 0 the map stays empty and a matching (root) target's walk
-  // terminates immediately with out = eps, the cold n == 0 answer.
-  std::vector<ObjectId> parent(weak.dict().num_objects(), kInvalidId);
-  tally.bytes_allocated.fetch_add(parent.size() * sizeof(ObjectId),
-                                  std::memory_order_relaxed);
-  if (sweep.ok()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      for (ObjectId o : layers[i]) {
-        for (ObjectId j :
-             weak.Lch(o, path.labels[i]).Intersect(layers[i + 1])) {
-          parent[j] = o;
-        }
-      }
-    }
-  }
-
-  // Per-target spine walks: each reads only shared state (layers,
-  // parents) and its private accumulator, so walks parallelize with no
-  // synchronization; first failure in target order wins.
-  std::atomic<std::uint64_t> recomputed{0};
-  std::atomic<std::uint64_t> row_ops{0};
-  std::atomic<std::uint64_t> materialized_total{0};
-  std::atomic<std::uint64_t> bytes_total{0};
-  auto walk = [&](std::size_t idx) -> Status {
-    const TargetEps& t = targets[idx];
-    if (!layers[n].Contains(t.object)) {
-      // Off the final layer: the composite PointQuery contract answers
-      // 0.0 without running a pass, so sweep errors do not apply.
-      out[idx] = 0.0;
-      return Status::Ok();
-    }
-    if (!sweep.ok()) return sweep;
-    double e = t.eps;
-    ObjectId child = t.object;
-    std::size_t level = n;  // child's level
-    std::uint64_t ops_sum = 0;
-    std::uint64_t mat_sum = 0;
-    std::uint64_t bytes_sum = 0;
-    std::uint64_t evals = 0;
-    for (ObjectId o = parent[child]; o != kInvalidId;
-         child = o, o = parent[o], --level) {
-      if (control_ != nullptr) {
-        Status cs = control_->Charge(1);
-        if (!cs.ok()) return cs;
-      }
-      const IdSet retained =
-          weak.Lch(o, path.labels[level - 1]).Intersect(layers[level]);
-      double eo = 0.0;
-      std::uint64_t ops = 0;
-      std::uint64_t materialized = 0;
-      std::uint64_t bytes = 0;
-      Status st = EvalObjectEps(
-          instance_, weak, o, retained,
-          [&](ObjectId j) { return j == child ? e : 0.0; }, control_, tally,
-          eo, ops, materialized, bytes);
-      if (!st.ok()) return st;  // unreachable after a clean sweep
-      ops_sum += ops;
-      mat_sum += materialized;
-      bytes_sum += bytes;
-      ++evals;
-      if (control_ != nullptr) {
-        Status cs = control_->Charge(ops);
-        if (!cs.ok()) return cs;
-      }
-      e = eo;
-    }
-    out[idx] = e;
-    recomputed.fetch_add(evals, std::memory_order_relaxed);
-    row_ops.fetch_add(ops_sum, std::memory_order_relaxed);
-    materialized_total.fetch_add(mat_sum, std::memory_order_relaxed);
-    bytes_total.fetch_add(bytes_sum, std::memory_order_relaxed);
-    return Status::Ok();
-  };
-
-  Status pass_status = Status::Ok();
-  if (parallel_.pool != nullptr && targets.size() > 1 &&
-      targets.size() >= parallel_.min_parallel_width) {
-    std::vector<Status> statuses(targets.size());
-    const std::size_t grain = std::max<std::size_t>(
-        1, targets.size() / (4 * parallel_.pool->num_threads() + 1));
-    ParallelFor(parallel_.pool, targets.size(), grain,
-                [&](std::size_t begin, std::size_t end) {
-                  for (std::size_t k = begin; k < end; ++k) {
-                    statuses[k] = walk(k);
-                  }
-                });
-    for (const Status& s : statuses) {
-      if (!s.ok()) {
-        pass_status = s;
-        break;
-      }
-    }
-  } else {
-    for (std::size_t k = 0; k < targets.size(); ++k) {
-      pass_status = walk(k);
-      if (!pass_status.ok()) break;
-    }
-  }
-
-  tally.recomputed.fetch_add(recomputed.load(std::memory_order_relaxed),
-                             std::memory_order_relaxed);
-  tally.opf_row_ops.fetch_add(row_ops.load(std::memory_order_relaxed),
-                              std::memory_order_relaxed);
-  tally.entries_materialized.fetch_add(
-      materialized_total.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  tally.bytes_allocated.fetch_add(bytes_total.load(std::memory_order_relaxed),
-                                  std::memory_order_relaxed);
-  return pass_status;
 }
 
 }  // namespace pxml

@@ -129,33 +129,12 @@ class EpsilonPropagator {
   Result<double> RootEpsilon(const PathExpression& path,
                              std::span<const TargetEps> targets) const;
 
-  /// The shared multi-target pass (DESIGN.md §12): out[i] receives what
-  /// RootEpsilon(path, {targets[i]}) would return, computed from one
-  /// pruned-layer build plus an O(depth) spine walk per target instead
-  /// of |targets| full passes — bit-identical, because every off-spine
-  /// object's ε in a single-target pass is exactly +0.0 in IEEE
-  /// arithmetic (see FrozenRootEpsilonShared for the argument; the
-  /// generic route replays the same per-object kernel code via the
-  /// shared evaluation helper). Differences from per-target RootEpsilon
-  /// calls: a target off the final pruned layer yields 0.0 instead of
-  /// kBadPath (the composite PointQuery contract). The pass is tallied
-  /// once into stats and charged once through control.
-  Status RootEpsilonShared(const PathExpression& path,
-                           std::span<const TargetEps> targets,
-                           std::span<double> out) const;
-
  private:
   /// The generic interpreter pass, counting into `tally` (which the
   /// public wrapper flushes once, at pass end).
   Result<double> RootEpsilonGeneric(const PathExpression& path,
                                     std::span<const TargetEps> targets,
                                     EpsilonStats& tally) const;
-
-  /// The generic shared multi-target pass body.
-  Status RootEpsilonSharedGeneric(const PathExpression& path,
-                                  std::span<const TargetEps> targets,
-                                  std::span<double> out,
-                                  EpsilonStats& tally) const;
 
   const ProbabilisticInstance& instance_;
   ParallelOptions parallel_;

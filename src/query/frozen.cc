@@ -625,164 +625,6 @@ Result<double> FrozenRootEpsilonImpl(const FrozenInstance& frozen,
   return s->eps[frozen.root()];
 }
 
-/// The shared multi-target pass body (see FrozenRootEpsilonShared in the
-/// header for the contract and the bit-identity argument).
-Status FrozenRootEpsilonSharedImpl(const FrozenInstance& frozen,
-                                   const ProbabilisticInstance& instance,
-                                   const PathExpression& path,
-                                   std::span<const TargetEps> targets,
-                                   const ParallelOptions& parallel,
-                                   EpsilonStats& tally, EpsilonScratch* s,
-                                   QueryControl* control,
-                                   std::span<double> out) {
-  const std::size_t n = path.labels.size();
-  const std::size_t num_ids = frozen.num_ids();
-
-  BuildFrozenPrunedLayers(frozen, path, s);
-  tally.frozen_passes.fetch_add(1, std::memory_order_relaxed);
-
-  // One global mark bitmap for every level at once: in a tree, layer i
-  // holds exactly the depth-i objects of the pruned match, so a level's
-  // child test only ever sees its own next layer's marks
-  // (depth-uniqueness). 1 = inner layer, 2 = final layer — the value
-  // doubles as the target-membership test; the kernels only test != 0.
-  for (std::size_t i = 1; i < n; ++i) {
-    for (ObjectId j : s->layers[i]) s->mark[j] = 1;
-  }
-  for (ObjectId j : s->layers[n]) s->mark[j] = 2;
-
-  // Pass-level validation, applied per target below: a cold PointQuery
-  // answers 0.0 for an off-final-layer target *before* any pass-level
-  // check can fire, so these errors reach only the targets that would
-  // actually have run a pass. The kernel sweep replays the full pass's
-  // missing-OPF behavior (deepest level first, frontier order) without
-  // row work, so it reproduces the cold status exactly.
-  Status sweep = Status::Ok();
-  if (path.start != frozen.root()) {
-    sweep = Status::BadPath("epsilon propagation paths must start at the root");
-  }
-  for (std::size_t level = n; level-- > 0 && sweep.ok();) {
-    for (ObjectId o : s->layers[level]) {
-      const FrozenOpfKind kind = frozen.kernel(o).kind;
-      if (kind == FrozenOpfKind::kLeaf || kind == FrozenOpfKind::kMissing) {
-        sweep = Status::FailedPrecondition(StrCat(
-            "non-leaf '", instance.dict().ObjectName(o), "' has no OPF"));
-        break;
-      }
-    }
-  }
-
-  // Parent pointers over the pruned layers. Unique in a tree, and every
-  // pruned layer-(i+1) object's parent survives pruning (it has a marked
-  // child by definition), so each spine walk below reaches the root.
-  s->FillTo<ObjectId>(s->parent, num_ids, kInvalidId);
-  if (sweep.ok()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      for (ObjectId o : s->layers[i]) {
-        for (ObjectId j : frozen.children(o, path.labels[i])) {
-          if (s->mark[j]) s->parent[j] = o;
-        }
-      }
-    }
-  }
-
-  // Per-target spine walks. Each walk only reads shared state (marks,
-  // parents, the frozen arrays) and its private accumulator, so walks
-  // parallelize with no synchronization; first failure in target order
-  // wins, as in the full pass's frontier ordering.
-  //
-  // The child ε view is a per-thread all-zeros overlay with the single
-  // spine child's ε written in for the step and restored after: the same
-  // KernelFn as the full pass then reads exactly 0.0 for every off-spine
-  // object, which is the bit-identity argument from the header contract —
-  // and it holds under every lane backend, since the full pass's eps
-  // array holds the same +0.0 in those slots.
-  std::atomic<std::uint64_t> recomputed{0};
-  std::atomic<std::uint64_t> row_ops{0};
-  const kernel_batch::Evaluators ev = kernel_batch::Select();
-  auto walk = [&](std::size_t idx) -> Status {
-    const TargetEps& t = targets[idx];
-    if (t.object >= num_ids || s->mark[t.object] != 2) {
-      // Off the final layer: the composite PointQuery contract answers
-      // 0.0 without running a pass, so sweep errors do not apply.
-      out[idx] = 0.0;
-      return Status::Ok();
-    }
-    if (!sweep.ok()) return sweep;
-    double* overlay = kernel_batch::AcquireZeroOverlay(num_ids);
-    double e = t.eps;
-    ObjectId child = t.object;
-    std::size_t level = n;  // child's level
-    std::uint64_t ops_total = 0;
-    std::uint64_t evals = 0;
-    for (ObjectId o = s->parent[child]; o != kInvalidId;
-         child = o, o = s->parent[o], --level) {
-      if (control != nullptr) {
-        Status cs = control->Charge(1);
-        if (!cs.ok()) return cs;
-      }
-      double eo = 0.0;
-      std::uint64_t ops = 0;
-      overlay[child] = e;
-      Status st = ev.eval_one(frozen, instance, o, path.labels[level - 1],
-                              s->mark.data(), overlay, eo, ops);
-      overlay[child] = 0.0;
-      if (!st.ok()) return st;  // unreachable after a clean sweep
-      ops_total += ops;
-      ++evals;
-      if (control != nullptr) {
-        Status cs = control->Charge(ops);
-        if (!cs.ok()) return cs;
-      }
-      e = eo;
-    }
-    out[idx] = e;
-    recomputed.fetch_add(evals, std::memory_order_relaxed);
-    row_ops.fetch_add(ops_total, std::memory_order_relaxed);
-    return Status::Ok();
-  };
-
-  Status pass_status = Status::Ok();
-  if (parallel.pool != nullptr && targets.size() > 1 &&
-      targets.size() >= parallel.min_parallel_width) {
-    s->SizeTo(s->statuses, targets.size());
-    const std::size_t grain = std::max<std::size_t>(
-        1, targets.size() / (4 * parallel.pool->num_threads() + 1));
-    ParallelFor(parallel.pool, targets.size(), grain,
-                [&](std::size_t begin, std::size_t end) {
-                  for (std::size_t k = begin; k < end; ++k) {
-                    s->statuses[k] = walk(k);
-                  }
-                });
-    for (std::size_t k = 0; k < targets.size(); ++k) {
-      if (!s->statuses[k].ok()) {
-        pass_status = s->statuses[k];
-        break;
-      }
-    }
-  } else {
-    for (std::size_t k = 0; k < targets.size(); ++k) {
-      pass_status = walk(k);
-      if (!pass_status.ok()) break;
-    }
-  }
-
-  tally.recomputed.fetch_add(recomputed.load(std::memory_order_relaxed),
-                             std::memory_order_relaxed);
-  tally.opf_row_ops.fetch_add(row_ops.load(std::memory_order_relaxed),
-                              std::memory_order_relaxed);
-  tally.bytes_allocated.fetch_add(s->TakeBytesGrown(),
-                                  std::memory_order_relaxed);
-  // Leave the scratch marks zeroed, as every pass entry expects. Layer n
-  // is cleared explicitly: for n == 0 it is layer 0, outside the 1..n-1
-  // range that carried the inner marks.
-  for (std::size_t i = 1; i < n; ++i) {
-    for (ObjectId j : s->layers[i]) s->mark[j] = 0;
-  }
-  for (ObjectId j : s->layers[n]) s->mark[j] = 0;
-  return pass_status;
-}
-
 }  // namespace
 
 void FrozenInstance::BuildPrunedLayers(const PathExpression& path,
@@ -804,24 +646,6 @@ Result<double> FrozenRootEpsilon(const FrozenInstance& frozen,
       frozen, instance, path, targets, parallel, tally, scratch, control);
   FlushEpsilonPass(tally, stats, span, /*frozen=*/true);
   return result;
-}
-
-Status FrozenRootEpsilonShared(const FrozenInstance& frozen,
-                               const ProbabilisticInstance& instance,
-                               const PathExpression& path,
-                               std::span<const TargetEps> targets,
-                               const ParallelOptions& parallel,
-                               EpsilonStats* stats, EpsilonScratch* scratch,
-                               obs::TraceSession* trace,
-                               QueryControl* control, std::span<double> out) {
-  obs::TraceSpan span(trace, "epsilon");
-  if (span.enabled()) span.Arg("shared_targets", targets.size());
-  EpsilonStats tally;
-  Status status = FrozenRootEpsilonSharedImpl(frozen, instance, path, targets,
-                                              parallel, tally, scratch,
-                                              control, out);
-  FlushEpsilonPass(tally, stats, span, /*frozen=*/true);
-  return status;
 }
 
 }  // namespace pxml

@@ -49,9 +49,6 @@ struct EpsilonScratch {
   simd::AlignedVector<std::uint8_t> mark;  // pruned-layer membership bitmap
   std::vector<std::vector<ObjectId>> layers;
   std::vector<Status> statuses;
-  /// Pruned-layer parent pointers (unique in a tree) — the spine index
-  /// of the shared multi-target pass (FrozenRootEpsilonShared).
-  std::vector<ObjectId> parent;
 
   /// Bytes of heap capacity grown since the last Take (0 once warm).
   std::uint64_t bytes_grown = 0;
@@ -388,38 +385,6 @@ Result<double> FrozenRootEpsilon(const FrozenInstance& frozen,
                                  EpsilonStats* stats, EpsilonScratch* scratch,
                                  obs::TraceSession* trace = nullptr,
                                  QueryControl* control = nullptr);
-
-/// The shared multi-target pass (DESIGN.md §12): for each targets[i]
-/// *separately*, the root ε of the single-target configuration
-/// {targets[i]} — i.e. out[i] is what FrozenRootEpsilon(path,
-/// {targets[i]}) would return — computed from ONE pruned-layer build
-/// plus one O(depth) spine walk per target instead of |targets| full
-/// passes.
-///
-/// Bit-identity: in a single-target pass every off-spine object's ε is
-/// exactly +0.0 in IEEE arithmetic (each kernel's contribution terms
-/// collapse — 1−0·x ≡ 1.0 exactly, e += p·0.0 leaves e unchanged for
-/// e ≥ 0, and a per-label on-path factor sum over unit survivors
-/// reproduces its precomputed mass bitwise), so replaying the identical
-/// kernel code over just the spine, with the sibling ε reads pinned to
-/// 0.0, produces the same bits as the full pass. A preliminary
-/// validation sweep replays the full pass's error behavior (missing
-/// OPFs, deepest level first, frontier order) so failing groups fail
-/// with the same status the cold pass would return.
-///
-/// Contract differences from FrozenRootEpsilon: a target off the final
-/// pruned layer yields out[i] = 0.0 (the composite PointQuery contract)
-/// instead of kBadPath. Work is tallied once into `stats`
-/// (one frozen pass); `control` is charged exactly once for the whole
-/// shared pass.
-Status FrozenRootEpsilonShared(const FrozenInstance& frozen,
-                               const ProbabilisticInstance& instance,
-                               const PathExpression& path,
-                               std::span<const TargetEps> targets,
-                               const ParallelOptions& parallel,
-                               EpsilonStats* stats, EpsilonScratch* scratch,
-                               obs::TraceSession* trace,
-                               QueryControl* control, std::span<double> out);
 
 }  // namespace pxml
 

@@ -12,24 +12,19 @@
 namespace pxml::frozen_internal {
 
 /// Evaluates o's compiled kernel: the retained-membership test is
-/// `mark[j] != 0` and child ε values come from `eps_of` — the scratch
-/// eps array on the full pass, the spine-restricted one-nonzero-child
-/// view on the shared pass. Shared between the two passes so their
-/// per-row accumulation order is the *same code*, which is the basis of
-/// the shared pass's bit-identity claim: a marked child whose eps_of is
-/// 0.0 contributes exactly nothing, in IEEE arithmetic, under every
-/// kernel kind. kLeaf/kMissing is the pass's per-object error.
+/// `mark[j] != 0` and child ε values come from the pass's `eps` array
+/// (indexed by ObjectId). kLeaf/kMissing is the pass's per-object error.
 ///
 /// This is the scalar reference every backend in query/kernel_batch.h is
 /// measured against: the scalar backend calls it directly (bit-identity
 /// with pre-vectorization answers by construction), the vector backends
 /// call it for explicit kernels and fall back to it for per-label
 /// kernels whose factors exceed the vectorization width.
-template <typename EpsOf>
-Status EvalFrozenKernel(const FrozenInstance& frozen,
-                        const ProbabilisticInstance& instance, ObjectId o,
-                        LabelId l, const std::uint8_t* mark, EpsOf&& eps_of,
-                        double& e_out, std::uint64_t& ops_out) {
+inline Status EvalFrozenKernel(const FrozenInstance& frozen,
+                               const ProbabilisticInstance& instance,
+                               ObjectId o, LabelId l,
+                               const std::uint8_t* mark, const double* eps,
+                               double& e_out, std::uint64_t& ops_out) {
   const FrozenInstance::Kernel& k = frozen.kernel(o);
   double e = 0.0;
   std::uint64_t ops = 0;
@@ -46,7 +41,7 @@ Status EvalFrozenKernel(const FrozenInstance& frozen,
         ops += 1 + rc.size();
         double none = 1.0;
         for (ObjectId j : rc) {
-          if (mark[j]) none *= 1.0 - eps_of(j);
+          if (mark[j]) none *= 1.0 - eps[j];
         }
         e += p * (1.0 - none);
       }
@@ -58,7 +53,7 @@ Status EvalFrozenKernel(const FrozenInstance& frozen,
       ops += ic.size();
       double none = 1.0;
       for (std::size_t i = 0; i < ic.size(); ++i) {
-        if (mark[ic[i]]) none *= 1.0 - ip[i] * eps_of(ic[i]);
+        if (mark[ic[i]]) none *= 1.0 - ip[i] * eps[ic[i]];
       }
       e = 1.0 - none;
       break;
@@ -84,7 +79,7 @@ Status EvalFrozenKernel(const FrozenInstance& frozen,
           ops += 1 + rc.size();
           double none = 1.0;
           for (ObjectId j : rc) {
-            if (mark[j]) none *= 1.0 - eps_of(j);
+            if (mark[j]) none *= 1.0 - eps[j];
           }
           sum += p * none;
         }

@@ -9,22 +9,7 @@ BatchScratch& LocalBatchScratch() {
   return scratch;
 }
 
-double* AcquireZeroOverlay(std::size_t n) {
-  BatchScratch& bs = LocalBatchScratch();
-  // resize() value-initializes the new tail, and callers restore any
-  // slot they write — the all-zeros invariant holds across calls.
-  if (bs.overlay.size() < n) bs.overlay.resize(n, 0.0);
-  return bs.overlay.data();
-}
-
 namespace {
-
-Status EvalOneScalar(const FrozenInstance& frozen,
-                     const ProbabilisticInstance& instance, ObjectId o,
-                     LabelId l, const std::uint8_t* mark, const double* eps,
-                     double& e_out, std::uint64_t& ops_out) {
-  return EvalOneScalarRef(frozen, instance, o, l, mark, eps, e_out, ops_out);
-}
 
 void ExpandScalar(const double* q, std::size_t bits, double* acc) {
   ExpandT<simd::ScalarLanes>(q, bits, acc);
@@ -72,7 +57,8 @@ Evaluators Select() {
     case simd::Backend::kScalar:
       break;
   }
-  return {simd::Backend::kScalar, &EvalOneScalar, &ExpandScalar};
+  return {simd::Backend::kScalar, &frozen_internal::EvalFrozenKernel,
+          &ExpandScalar};
 }
 
 }  // namespace pxml::kernel_batch

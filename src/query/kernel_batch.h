@@ -17,8 +17,9 @@
 ///
 /// Agreement contract, gated in bench_frozen_kernels --check and
 /// tests/simd_kernel_test.cc:
-///   * scalar backend: IS the reference (same template instantiation) —
-///     bit-identical to pre-vectorization answers by construction;
+///   * scalar backend: IS the reference (its KernelFn is
+///     frozen_internal::EvalFrozenKernel) — bit-identical to
+///     pre-vectorization answers by construction;
 ///   * explicit kernels: every backend routes them to the reference
 ///     (their 2^b·b row walk does not vectorize across the row product)
 ///     — bit-identical;
@@ -61,13 +62,6 @@ struct Evaluators {
 /// once per pass so a concurrent SetBackend cannot split one pass across
 /// backends.
 Evaluators Select();
-
-/// A per-thread all-zeros ε overlay of at least `n` doubles (64-byte
-/// aligned, grown on demand). The shared multi-target spine walk writes
-/// the single nonzero child ε into it, evaluates through the same
-/// KernelFn as the full pass, and restores the slot to 0.0 — callers
-/// must preserve the all-zeros invariant on every path.
-double* AcquireZeroOverlay(std::size_t n);
 
 }  // namespace pxml::kernel_batch
 

@@ -17,26 +17,13 @@
 namespace pxml::kernel_batch {
 
 /// Per-thread scratch for the vector kernels: the term buffer of the
-/// independent kernel, the 2^{b_l} subset-product table of the per-label
-/// kernel, and the shared-pass ε overlay. Defined in kernel_batch.cc.
+/// independent kernel and the 2^{b_l} subset-product table of the
+/// per-label kernel. Defined in kernel_batch.cc.
 struct BatchScratch {
   simd::AlignedVector<double> terms;
   simd::AlignedVector<double> none;
-  simd::AlignedVector<double> overlay;
 };
 BatchScratch& LocalBatchScratch();
-
-/// The scalar reference: the exact pre-vectorization evaluation path
-/// (query/frozen_eval.h) reading child ε from a flat array.
-inline Status EvalOneScalarRef(const FrozenInstance& frozen,
-                               const ProbabilisticInstance& instance,
-                               ObjectId o, LabelId l,
-                               const std::uint8_t* mark, const double* eps,
-                               double& e_out, std::uint64_t& ops_out) {
-  return frozen_internal::EvalFrozenKernel(
-      frozen, instance, o, l, mark, [eps](ObjectId j) { return eps[j]; },
-      e_out, ops_out);
-}
 
 /// One kernel under lane policy P. Bit-identity relies on the pass
 /// invariant that eps[j] == +0.0 for every unmarked child j (the pass
@@ -57,8 +44,8 @@ Status EvalOneT(const FrozenInstance& frozen,
     case FrozenOpfKind::kExplicit:
       // Errors and the explicit row walk (whose inner product does not
       // vectorize across rows of varying width) stay on the reference.
-      return EvalOneScalarRef(frozen, instance, o, l, mark, eps, e_out,
-                              ops_out);
+      return frozen_internal::EvalFrozenKernel(frozen, instance, o, l, mark,
+                                              eps, e_out, ops_out);
     case FrozenOpfKind::kIndependent: {
       const std::span<const ObjectId> ic = frozen.ind_children(k);
       const std::span<const double> ip = frozen.ind_probs(k);
@@ -95,8 +82,8 @@ Status EvalOneT(const FrozenInstance& frozen,
       if (!on->vec) {
         // Universe wider than the subset table allows — whole-kernel
         // scalar fallback (identical ops accounting by construction).
-        return EvalOneScalarRef(frozen, instance, o, l, mark, eps, e_out,
-                                ops_out);
+        return frozen_internal::EvalFrozenKernel(frozen, instance, o, l,
+                                                mark, eps, e_out, ops_out);
       }
       const std::span<const ObjectId> uni = frozen.children(o, l);
       const std::size_t bits = on->bits;
@@ -125,7 +112,8 @@ Status EvalOneT(const FrozenInstance& frozen,
       return Status::Ok();
     }
   }
-  return EvalOneScalarRef(frozen, instance, o, l, mark, eps, e_out, ops_out);
+  return frozen_internal::EvalFrozenKernel(frozen, instance, o, l, mark, eps,
+                                          e_out, ops_out);
 }
 
 /// The subset-weight expansion behind Evaluators::expand — see

@@ -50,20 +50,6 @@ Result<double> PointQuery(const ProbabilisticInstance& instance,
   return prop.RootEpsilon(path, std::span<const TargetEps>(&target, 1));
 }
 
-Result<std::vector<double>> MultiPointQuery(
-    const ProbabilisticInstance& instance, const PathExpression& path,
-    std::span<const ObjectId> objects, const ParallelOptions& parallel,
-    const EpsilonHooks& hooks) {
-  std::vector<TargetEps> targets;
-  targets.reserve(objects.size());
-  for (ObjectId o : objects) targets.push_back(TargetEps{o, 1.0});
-  std::vector<double> out(objects.size(), 0.0);
-  EpsilonPropagator prop(instance, parallel, hooks.stats, hooks.frozen,
-                         hooks.scratch, hooks.trace, hooks.control);
-  PXML_RETURN_IF_ERROR(prop.RootEpsilonShared(path, targets, out));
-  return out;
-}
-
 Result<double> ExistsQuery(const ProbabilisticInstance& instance,
                            const PathExpression& path,
                            const ParallelOptions& parallel,

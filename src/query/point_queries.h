@@ -1,7 +1,6 @@
 #ifndef PXML_QUERY_POINT_QUERIES_H_
 #define PXML_QUERY_POINT_QUERIES_H_
 
-#include <span>
 #include <vector>
 
 #include "algebra/selection_global.h"
@@ -57,20 +56,6 @@ Result<double> PointQuery(const ProbabilisticInstance& instance,
                           const PathExpression& path, ObjectId object,
                           const ParallelOptions& parallel = {},
                           const EpsilonHooks& hooks = {});
-
-/// P(o ∈ p) for several objects of ONE path expression, answered from a
-/// single shared ε pass (EpsilonPropagator::RootEpsilonShared) instead
-/// of one pass per object: result[i] is bit-identical to
-/// PointQuery(instance, path, objects[i]) — including 0.0 for objects
-/// that cannot match p — but the pruned-layer build runs once and each
-/// object costs one O(depth) spine walk. The intra-batch sharing step of
-/// QueryEngine::Run (BatchOptions::share_batch_passes) is built on this.
-/// The hooks' stats/trace/control apply to the single shared pass as a
-/// whole.
-Result<std::vector<double>> MultiPointQuery(
-    const ProbabilisticInstance& instance, const PathExpression& path,
-    std::span<const ObjectId> objects, const ParallelOptions& parallel = {},
-    const EpsilonHooks& hooks = {});
 
 /// P(∃ o: o ∈ p): some object satisfies p.
 Result<double> ExistsQuery(const ProbabilisticInstance& instance,

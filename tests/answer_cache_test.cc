@@ -1,13 +1,12 @@
-// Epoch-keyed answer cache + intra-batch ε-sharing tests (DESIGN.md §12):
-// cached and shared answers are bit-identical to cold evaluation at every
-// thread count, hits are only ever served from the batch's pinned epoch
-// (asserted under concurrent mutation against per-epoch expected values),
-// the byte budget bounds residency with LRU eviction, epoch retirement
-// drops every entry (proven on the registry counter), deterministic
-// negative answers replay while serving-path trips never do, and the
-// shared-pass work accounting reconciles exactly (sum of profiles equals
-// the batch total). The whole binary is expected to be clean under the
-// ASAN/UBSAN/TSAN matrix.
+// Epoch-keyed answer cache tests (DESIGN.md §12): cached answers are
+// bit-identical to cold evaluation at every thread count, hits are only
+// ever served from the batch's pinned epoch (asserted under concurrent
+// mutation against per-epoch expected values), the byte budget bounds
+// residency with LRU eviction, epoch retirement drops every entry (proven
+// on the registry counter), deterministic negative answers replay while
+// serving-path trips never do, and hits bypass the admission cost gate
+// (only misses count toward the estimate). The whole binary is expected
+// to be clean under the ASAN/UBSAN/TSAN matrix.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -117,8 +116,8 @@ void ExpectBitEqual(double a, double b, const char* what) {
       << what << ": " << a << " != " << b;
 }
 
-/// Reference configuration: no answer cache, no frozen kernels, no
-/// sharing — bit-exact generic evaluation on every run.
+/// Reference configuration: no answer cache, no frozen kernels —
+/// bit-exact generic evaluation on every run.
 BatchOptions Reference() {
   BatchOptions options;
   options.threads = 1;
@@ -201,7 +200,7 @@ TEST(AnswerCacheUnitTest, DropEpochErasesExactlyThatEpoch) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: cached + shared answers vs the stateless reference
+// Differential: cached answers vs the stateless reference
 
 TEST(AnswerCacheTest, WarmRepeatBatchBitIdenticalAcrossThreadCounts) {
   const ProbabilisticInstance base = MakeUniformTree(4, 3, 11);
@@ -237,7 +236,6 @@ TEST(AnswerCacheTest, WarmRepeatBatchBitIdenticalAcrossThreadCounts) {
     BatchOptions opts;
     opts.threads = threads;
     opts.answer_cache = true;
-    opts.share_batch_passes = true;
     QueryEngine engine(MakeUniformTree(4, 3, 11), opts);
 
     BatchStats cold;
@@ -245,11 +243,10 @@ TEST(AnswerCacheTest, WarmRepeatBatchBitIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(got.status().ok());
     EXPECT_EQ(cold.answer_cache_hits, 0u);
     EXPECT_EQ(cold.answer_cache_misses, queries.size());
-    EXPECT_GE(cold.shared_queries, queries.size() - distinct.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
       ASSERT_TRUE((*got)[i].status.ok()) << i;
       ExpectBitEqual((*got)[i].probability, (*expected)[i].probability,
-                     "cold planned vs reference");
+                     "cold vs reference");
     }
 
     // Warm repeat: every query is a whole-answer hit with a zero-work
@@ -267,7 +264,6 @@ TEST(AnswerCacheTest, WarmRepeatBatchBitIdenticalAcrossThreadCounts) {
       EXPECT_TRUE(a.profile.answer_cache_hit) << i;
       EXPECT_STREQ(a.profile.dispatch, "cached") << i;
       EXPECT_EQ(a.profile.opf_row_ops, 0u) << i;
-      EXPECT_EQ(a.profile.shared_pass, 0u) << i;
     }
   }
 }
@@ -319,7 +315,6 @@ TEST(AnswerCacheTest, ConcurrentMutationServesOnlyThePinnedEpoch) {
   BatchOptions opts;
   opts.threads = 4;
   opts.answer_cache = true;
-  opts.share_batch_passes = true;
   QueryEngine engine(std::move(twin_b), opts);
 
   std::thread writer([&] {
@@ -479,70 +474,73 @@ TEST(AnswerCacheTest, NegativeAnswersAreCachedServingTripsAreNot) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared-pass accounting: exactly-once, reconciling, and actually fewer
-// passes
+// Admission: cache hits cost no pass, so they bypass the cost gate
 
-TEST(SharedPassTest, SiblingBatchAccountingEqualsSerialSum) {
-  const ProbabilisticInstance base = MakeUniformTree(3, 4, 31);
+TEST(AnswerCacheTest, CacheHitsBypassTheCostGate) {
+  const ProbabilisticInstance base = MakeUniformTree(3, 3, 41);
   const std::vector<ObjectId> leaves = ObjectsAtLevel(base, 3);
   const PathExpression full = TreePath(base, 3);
-
-  // A sibling-heavy batch: every leaf as a point target under one path,
-  // plus exact duplicates of the first four.
   std::vector<BatchQuery> queries;
-  for (ObjectId leaf : leaves) queries.push_back(BatchQuery::Point(full, leaf));
   for (std::size_t k = 0; k < 4; ++k) {
-    queries.push_back(BatchQuery::Point(full, leaves[k]));
+    queries.push_back(BatchQuery::Point(full, leaves[k * 5]));
+  }
+  queries.push_back(BatchQuery::Exists(full));
+
+  // A 1-row-op limit sheds every normal-priority batch that has anything
+  // to evaluate; only the queries that miss the cache count toward it.
+  BatchOptions opts;
+  opts.threads = 1;
+  opts.answer_cache = true;
+  opts.max_estimated_row_ops = 1;
+  QueryEngine engine(MakeUniformTree(3, 3, 41), opts);
+  QueryRequest normal;
+  QueryRequest critical;
+  critical.priority = 1;
+
+  auto expect_all_rejected = [](const std::vector<BatchAnswer>& answers) {
+    for (std::size_t i = 0; i < answers.size(); ++i) {
+      EXPECT_EQ(answers[i].status.code(), StatusCode::kRejected) << i;
+    }
+  };
+
+  // Cold: every query misses, so the batch is over the limit.
+  auto cold = engine.Run(queries, normal);
+  ASSERT_TRUE(cold.status().ok());
+  expect_all_rejected(*cold);
+
+  // Priority 1 bypasses the gate, evaluates every query and fills the
+  // cache.
+  BatchStats fill_stats;
+  auto filled = engine.Run(queries, critical, &fill_stats);
+  ASSERT_TRUE(filled.status().ok());
+  EXPECT_EQ(fill_stats.answer_cache_misses, queries.size());
+  EXPECT_GT(fill_stats.opf_row_ops, 0u);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE((*filled)[i].status.ok()) << i;
   }
 
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE(threads);
-    BatchOptions off;
-    off.threads = threads;
-    off.share_batch_passes = false;
-    BatchOptions on = off;
-    on.share_batch_passes = true;
-
-    QueryEngine engine_off(MakeUniformTree(3, 4, 31), off);
-    QueryEngine engine_on(MakeUniformTree(3, 4, 31), on);
-
-    BatchStats stats_off, stats_on;
-    auto unshared = engine_off.Run(queries, QueryRequest{}, &stats_off);
-    auto shared = engine_on.Run(queries, QueryRequest{}, &stats_on);
-    ASSERT_TRUE(unshared.status().ok());
-    ASSERT_TRUE(shared.status().ok());
-
-    std::uint64_t profile_row_ops = 0;
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      const BatchAnswer& a = (*shared)[i];
-      ASSERT_TRUE(a.status.ok()) << i;
-      ExpectBitEqual(a.probability, (*unshared)[i].probability,
-                     "shared vs unshared");
-      profile_row_ops += a.profile.opf_row_ops;
-    }
-    // Exactly-once accounting: the leader carries the whole pass, every
-    // follower carries zero, and the profiles sum to the batch total.
-    EXPECT_EQ(profile_row_ops, stats_on.opf_row_ops);
-    // Dedup + one shared pass serve everything but the leader.
-    EXPECT_EQ(stats_on.shared_queries, queries.size() - 1);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      const QueryProfile& p = (*shared)[i].profile;
-      EXPECT_GT(p.shared_pass, 0u) << i;
-      if (i != 0) {
-        EXPECT_EQ(p.opf_row_ops, 0u) << i;
-        EXPECT_STREQ(p.dispatch, "shared") << i;
-      }
-    }
-    // The point of sharing: one multi-target pass instead of one pass
-    // per member (≥2× fewer; here it is |leaves|+4 → 1).
-    const std::uint64_t passes_off =
-        stats_off.frozen_passes + stats_off.generic_passes;
-    const std::uint64_t passes_on =
-        stats_on.frozen_passes + stats_on.generic_passes;
-    ASSERT_GT(passes_on, 0u);
-    EXPECT_GE(passes_off, 2 * passes_on);
-    EXPECT_EQ(passes_on, 1u);
+  // Warm at priority 0: every query hits, the estimate is zero, and the
+  // batch is admitted with the priority-1 answers.
+  BatchStats warm_stats;
+  auto warm = engine.Run(queries, normal, &warm_stats);
+  ASSERT_TRUE(warm.status().ok());
+  EXPECT_EQ(warm_stats.answer_cache_hits, queries.size());
+  EXPECT_EQ(warm_stats.opf_row_ops, 0u);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const BatchAnswer& a = (*warm)[i];
+    ASSERT_TRUE(a.status.ok()) << i;
+    EXPECT_TRUE(a.profile.answer_cache_hit) << i;
+    ExpectBitEqual(a.probability, (*filled)[i].probability,
+                   "warm hit vs priority-1 answer");
   }
+
+  // One new question is a miss, which puts the batch over the limit
+  // again.
+  std::vector<BatchQuery> plus_one = queries;
+  plus_one.push_back(BatchQuery::Point(full, leaves[1]));
+  auto again = engine.Run(plus_one, normal);
+  ASSERT_TRUE(again.status().ok());
+  expect_all_rejected(*again);
 }
 
 }  // namespace

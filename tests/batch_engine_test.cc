@@ -280,7 +280,7 @@ TEST_F(BatchEngineTest, ManyQueriesOneInstanceHammer) {
 
   BatchOptions serial_opts;
   serial_opts.threads = 1;
-  QueryEngine serial(&inst, Generic(serial_opts));
+  QueryEngine serial(inst, Generic(serial_opts));
   auto expected = serial.Run(queries);
   ASSERT_TRUE(expected.ok()) << expected.status();
 
@@ -288,7 +288,7 @@ TEST_F(BatchEngineTest, ManyQueriesOneInstanceHammer) {
     BatchOptions opts;
     opts.threads = threads;
     opts.min_parallel_width = 1;
-    QueryEngine engine(&inst, Generic(opts));
+    QueryEngine engine(inst, Generic(opts));
     BatchStats stats;
     auto answers = engine.Run(queries, {}, &stats);
     ASSERT_TRUE(answers.ok()) << answers.status();
@@ -309,14 +309,14 @@ TEST_F(BatchEngineTest, ResultsIndependentOfScheduling) {
   BatchOptions opts;
   opts.threads = 4;
   opts.min_parallel_width = 1;
-  QueryEngine engine(&inst, Generic(opts));
+  QueryEngine engine(inst, Generic(opts));
   auto first = engine.Run(queries);
   ASSERT_TRUE(first.ok());
   auto second = engine.Run(queries);
   ASSERT_TRUE(second.ok());
   ExpectSameAnswers(*first, *second);
 
-  QueryEngine fresh(&inst, Generic(opts));
+  QueryEngine fresh(inst, Generic(opts));
   auto third = fresh.Run(queries);
   ASSERT_TRUE(third.ok());
   ExpectSameAnswers(*first, *third);
@@ -326,7 +326,7 @@ TEST_F(BatchEngineTest, SerialPathUsesNoPool) {
   const ProbabilisticInstance inst = MakeWorkloadInstance();
   BatchOptions opts;
   opts.threads = 1;
-  QueryEngine engine(&inst, Generic(opts));
+  QueryEngine engine(inst, Generic(opts));
   EXPECT_EQ(engine.threads(), 1u);
   BatchStats stats;
   auto answers = engine.Run(MakeQueries(inst, 10), {}, &stats);
@@ -357,7 +357,7 @@ TEST_F(BatchEngineTest, MatchesDirectSerialOperators) {
   BatchOptions opts;
   opts.threads = 4;
   opts.min_parallel_width = 1;
-  QueryEngine engine(&inst, Generic(opts));
+  QueryEngine engine(inst, Generic(opts));
   auto answers = engine.Run(queries);
   ASSERT_TRUE(answers.ok());
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -384,7 +384,7 @@ TEST_F(BatchEngineTest, PerQueryFailuresDoNotPoisonTheBatch) {
 
   BatchOptions opts;
   opts.threads = 2;
-  QueryEngine engine(&inst, Generic(opts));
+  QueryEngine engine(inst, Generic(opts));
   auto answers = engine.Run(queries);
   ASSERT_TRUE(answers.ok());
   EXPECT_TRUE((*answers)[0].status.ok());
@@ -401,7 +401,7 @@ TEST_F(BatchEngineTest, QueueDepthIsScopedPerBatch) {
   // Keep intra-query passes serial so task counts are exactly one per
   // query and the single-query batch can only ever reach depth 1.
   opts.min_parallel_width = 1000000;
-  QueryEngine engine(&inst, Generic(opts));
+  QueryEngine engine(inst, Generic(opts));
 
   BatchStats big;
   auto a = engine.Run(MakeQueries(inst, 300), {}, &big);
@@ -416,7 +416,7 @@ TEST_F(BatchEngineTest, QueueDepthIsScopedPerBatch) {
 
 TEST_F(BatchEngineTest, EmptyBatchIsOk) {
   const ProbabilisticInstance inst = MakeWorkloadInstance();
-  QueryEngine engine(&inst, Generic(BatchOptions{.threads = 2}));
+  QueryEngine engine(inst, Generic(BatchOptions{.threads = 2}));
   BatchStats stats;
   auto answers = engine.Run({}, {}, &stats);
   ASSERT_TRUE(answers.ok());

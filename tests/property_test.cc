@@ -163,7 +163,7 @@ TEST_P(RandomTreeTest, BatchEngineMatchesSerialAndOracle) {
 
   BatchOptions serial_options;
   serial_options.threads = 1;
-  QueryEngine serial(&inst, Generic(serial_options));
+  QueryEngine serial(inst, Generic(serial_options));
   auto serial_answers = serial.Run(queries);
   ASSERT_TRUE(serial_answers.ok()) << serial_answers.status();
 
@@ -195,7 +195,7 @@ TEST_P(RandomTreeTest, BatchEngineMatchesSerialAndOracle) {
     BatchOptions options;
     options.threads = threads;
     options.min_parallel_width = 1;  // engage intra-query splits on tiny trees
-    QueryEngine engine(&inst, Generic(options));
+    QueryEngine engine(inst, Generic(options));
     for (int repeat = 0; repeat < 2; ++repeat) {
       auto answers = engine.Run(queries);
       ASSERT_TRUE(answers.ok()) << answers.status();

@@ -142,7 +142,7 @@ TEST(ApplyRequestFlagTest, RejectsMalformedAndLeavesRequestUntouched) {
 
 TEST(QueryRequestTest, ExpiredDeadlineFailsFastWholeBatch) {
   ProbabilisticInstance inst = MakeWorkload(4, 3);
-  QueryEngine engine(&inst);
+  QueryEngine engine(inst);
   std::vector<BatchQuery> queries = MakeQueries(inst, 6);
 
   const std::uint64_t before = CounterValue("pxml.engine.deadline_exceeded");
@@ -162,7 +162,7 @@ TEST(QueryRequestTest, ExpiredDeadlineFailsFastWholeBatch) {
 
 TEST(QueryRequestTest, PreCancelledTokenFailsFastWholeBatch) {
   ProbabilisticInstance inst = MakeWorkload(4, 3);
-  QueryEngine engine(&inst);
+  QueryEngine engine(inst);
   std::vector<BatchQuery> queries = MakeQueries(inst, 6);
 
   const std::uint64_t before = CounterValue("pxml.engine.cancelled");
@@ -181,7 +181,7 @@ TEST(QueryRequestTest, PreCancelledTokenFailsFastWholeBatch) {
 
 TEST(QueryRequestTest, RunOneCarriesTheRequest) {
   ProbabilisticInstance inst = MakeWorkload(4, 3);
-  QueryEngine engine(&inst);
+  QueryEngine engine(inst);
   std::vector<BatchQuery> queries = MakeQueries(inst, 4);
 
   // Unconstrained RunOne matches the batch answer for the same query.
@@ -212,7 +212,7 @@ TEST(QueryRequestTest, BudgetBlownQueriesDegradeGracefully) {
     // Generic evaluation: per-query row-op totals are a pure function of
     // the query, so the budget split is deterministic.
     options.frozen = false;
-    QueryEngine engine(&inst, options);
+    QueryEngine engine(inst, options);
 
     auto reference = engine.Run(queries, QueryRequest{});
     ASSERT_TRUE(reference.status().ok());
@@ -264,7 +264,7 @@ TEST(QueryRequestTest, ConcurrentCancelAcrossThreadCounts) {
   BatchOptions ref_options;
   ref_options.threads = 1;
   ref_options.frozen = false;
-  QueryEngine ref_engine(&inst, ref_options);
+  QueryEngine ref_engine(inst, ref_options);
   auto reference = ref_engine.Run(queries, QueryRequest{});
   ASSERT_TRUE(reference.status().ok());
 
@@ -274,7 +274,7 @@ TEST(QueryRequestTest, ConcurrentCancelAcrossThreadCounts) {
     BatchOptions options;
     options.threads = threads;
     options.frozen = false;
-    QueryEngine engine(&inst, options);
+    QueryEngine engine(inst, options);
 
     const std::uint64_t before = CounterValue("pxml.engine.cancelled");
     CancellationToken token;
@@ -312,7 +312,7 @@ TEST(AdmissionTest, CostGateShedsNormalTrafficAndCriticalBypasses) {
   ProbabilisticInstance inst = MakeWorkload(4, 3);
   BatchOptions options;
   options.max_estimated_row_ops = 1;  // everything exceeds this
-  QueryEngine engine(&inst, options);
+  QueryEngine engine(inst, options);
   std::vector<BatchQuery> queries = MakeQueries(inst, 4);
 
   const std::uint64_t rejected_before = CounterValue("pxml.engine.rejected");
@@ -345,7 +345,7 @@ TEST(AdmissionTest, InFlightLimitQueuesNormalAndShedsBestEffort) {
   BatchOptions options;
   options.threads = 2;
   options.max_in_flight_batches = 1;
-  QueryEngine engine(&inst, options);
+  QueryEngine engine(inst, options);
 
   // A long background batch to hold the single slot...
   std::vector<BatchQuery> long_batch = MakeQueries(inst, 48);
@@ -394,7 +394,7 @@ TEST(AdmissionTest, DeadlineExpiresWhileQueuedForSlot) {
   BatchOptions options;
   options.threads = 2;
   options.max_in_flight_batches = 1;
-  QueryEngine engine(&inst, options);
+  QueryEngine engine(inst, options);
 
   std::vector<BatchQuery> long_batch = MakeQueries(inst, 48);
   std::vector<BatchQuery> probe = MakeQueries(inst, 1);

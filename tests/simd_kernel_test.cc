@@ -7,9 +7,6 @@
 //   * agree within the documented 1e-12 envelope for per-label products
 //     (the MaskedDot reduction order differs from the scalar row loop),
 //     cross-checked against the possible-worlds oracle;
-//   * answer MultiPointQuery bit-identically to per-target PointQuery
-//     (the shared pass evaluates through the same KernelFn via the
-//     zero-overlay);
 // plus a Refreeze check: the rebuilt kernel tables answer like a fresh
 // Freeze under every backend.
 #include <gtest/gtest.h>
@@ -281,41 +278,6 @@ TEST(SimdKernelTest, MixedInstanceMatchesWorldsPerBackend) {
       EXPECT_NEAR(got, *generic, 1e-12)
           << "backend=" << simd::BackendName(backend)
           << " threads=" << threads;
-    }
-  }
-}
-
-TEST(SimdKernelTest, MultiPointMatchesPerTargetPointQueryPerBackend) {
-  for (OpfStyle style : {OpfStyle::kIndependent, OpfStyle::kPerLabelProduct}) {
-    auto generated = Generate(style, 3, 2, 11);
-    ASSERT_TRUE(generated.ok()) << generated.status();
-    const ProbabilisticInstance& inst = *generated;
-    auto frozen = FrozenInstance::Freeze(inst);
-    ASSERT_TRUE(frozen.ok()) << frozen.status();
-    Rng rng(0xFADE);
-    auto path = GenerateAcceptedPath(inst, rng);
-    ASSERT_TRUE(path.ok()) << path.status();
-    const std::vector<ObjectId> objects = inst.weak().Objects();
-    for (simd::Backend backend : AvailableBackends()) {
-      BackendGuard guard(backend);
-      EpsilonScratch scratch;
-      EpsilonHooks hooks;
-      hooks.frozen = &*frozen;
-      hooks.scratch = &scratch;
-      auto shared = MultiPointQuery(inst, *path, objects, {}, hooks);
-      ASSERT_TRUE(shared.ok()) << shared.status();
-      ASSERT_EQ(shared->size(), objects.size());
-      for (std::size_t i = 0; i < objects.size(); ++i) {
-        auto single = PointQuery(inst, *path, objects[i], {}, hooks);
-        ASSERT_TRUE(single.ok()) << single.status();
-        // Shared pass vs per-target pass: the overlay evaluates the
-        // spine through the same KernelFn as the full pass, so the two
-        // are bit-identical under every backend — including the exact
-        // 0.0 for objects that cannot match the path.
-        EXPECT_EQ((*shared)[i], *single)
-            << "backend=" << simd::BackendName(backend) << " object="
-            << objects[i] << " style=" << static_cast<int>(style);
-      }
     }
   }
 }
