@@ -4,16 +4,11 @@
 // space for O(log n) lookup; the compact forms store O(n) and answer
 // marginals in O(n), but materializing their table is exponential.
 //
-// Usage: bench_opf_representations [--seed=S] [--threads=N]
-// [--json=PATH] [gbench flags]. --threads feeds the point-query
-// benchmarks' ParallelOptions (documents here sit below the parallel
-// cutoff, so the serial path usually wins; answers are bit-identical
-// either way). --json=PATH maps onto google-benchmark's own JSON
+// Usage: bench_opf_representations [--seed=S] [--json=PATH]
+// [gbench flags]. --json=PATH maps onto google-benchmark's own JSON
 // reporter (--benchmark_out=PATH --benchmark_out_format=json), so all
 // three JSON-emitting benches share one flag spelling.
 #include <benchmark/benchmark.h>
-
-#include <memory>
 
 #include "fig7_common.h"
 #include "graph/path.h"
@@ -22,20 +17,12 @@
 #include "query/point_queries.h"
 #include "util/rng.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace {
 
 using namespace pxml;  // NOLINT
 
 bench::BenchFlags g_flags{/*threads=*/1, /*seed=*/5};
-std::unique_ptr<ThreadPool> g_pool;
-
-ParallelOptions PoolOptions() {
-  ParallelOptions options;
-  options.pool = g_pool.get();
-  return options;
-}
 
 /// A one-level document with n children under two labels.
 ProtdbDocument MakeDoc(int n) {
@@ -130,7 +117,7 @@ void BM_PointQueryByRepresentation(benchmark::State& state) {
   path.labels = {*inst->dict().FindLabel("paper"),
                  *inst->dict().FindLabel("author")};
   for (auto _ : state) {
-    auto p = PointQuery(*inst, path, target, PoolOptions());
+    auto p = PointQuery(*inst, path, target);
     if (!p.ok()) std::abort();
     benchmark::DoNotOptimize(*p);
   }
@@ -157,7 +144,6 @@ BENCHMARK(BM_OpfMaterializeTable<OpfRepresentation::kIndependent>)
 
 int main(int argc, char** argv) {
   g_flags = pxml::bench::ParseBenchFlags(&argc, argv, g_flags);
-  if (g_flags.threads > 1) g_pool = std::make_unique<ThreadPool>(g_flags.threads);
   // Forward --json=PATH as google-benchmark's JSON reporter flags.
   std::vector<std::string> extra_args;
   std::vector<char*> argv2(argv, argv + argc);
@@ -172,6 +158,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  g_pool.reset();
   return 0;
 }

@@ -31,7 +31,6 @@
 #include "obs/trace.h"
 #include "query/frozen.h"
 #include "util/rng.h"
-#include "util/simd.h"
 #include "util/strings.h"
 #include "workload/generator.h"
 #include "workload/query_generator.h"
@@ -104,15 +103,12 @@ struct BenchFlags {
   /// --recorder-dump=PATH (engine DebugSnapshot JSON at exit: metrics +
   /// flight-recorder ring + slow-query log; engine benches only)
   std::string recorder_dump;
-  /// --simd=auto|avx2|sse2|scalar (lane backend for the frozen kernels;
-  /// "auto" keeps the runtime-detected one). Applied by ApplySimdFlag.
-  std::string simd = "auto";
 };
 
 /// Parses and REMOVES the shared flags (`--threads=N`, `--seed=S`,
 /// `--json=PATH`, `--max-objects=N`, `--opf=REP`,
 /// `--frozen=on|off`, `--trace=PATH`, `--metrics=PATH`, `--prom=PATH`,
-/// `--slow-ms=MS`, `--recorder-dump=PATH`, `--simd=BACKEND`) from argv, so
+/// `--slow-ms=MS`, `--recorder-dump=PATH`) from argv, so
 /// google-benchmark binaries can hand the remaining arguments to
 /// `benchmark::Initialize` without tripping its unknown-flag check.
 /// Malformed values warn and keep the default.
@@ -175,10 +171,6 @@ inline BenchFlags ParseBenchFlags(int* argc, char** argv,
       flags.recorder_dump = arg.substr(std::strlen("--recorder-dump="));
       consumed = true;
     }
-    if (!consumed && arg.rfind("--simd=", 0) == 0) {
-      flags.simd = arg.substr(std::strlen("--simd="));
-      consumed = true;
-    }
     if (!consumed && arg.rfind("--opf=", 0) == 0) {
       const std::string value = arg.substr(std::strlen("--opf="));
       if (value == "explicit") {
@@ -199,33 +191,6 @@ inline BenchFlags ParseBenchFlags(int* argc, char** argv,
   }
   *argc = out;
   return flags;
-}
-
-/// Applies the `--simd=` flag to the process-wide lane backend. "auto"
-/// (the default) keeps the runtime-detected backend. Requesting a
-/// backend the host cannot run (or any non-scalar one under
-/// PXML_FORCE_SCALAR=1) warns and keeps the current selection, so
-/// per-backend sweep scripts degrade gracefully on narrower hardware.
-inline void ApplySimdFlag(const BenchFlags& flags) {
-  const std::string& v = flags.simd;
-  if (v.empty() || v == "auto") return;
-  simd::Backend b;
-  if (v == "scalar") {
-    b = simd::Backend::kScalar;
-  } else if (v == "sse2") {
-    b = simd::Backend::kSse2;
-  } else if (v == "avx2") {
-    b = simd::Backend::kAvx2;
-  } else {
-    std::fprintf(stderr,
-                 "ignoring malformed --simd=%s (want auto|avx2|sse2|scalar)\n",
-                 v.c_str());
-    return;
-  }
-  if (!simd::SetBackend(b)) {
-    std::fprintf(stderr, "--simd=%s unavailable on this host; staying on %s\n",
-                 v.c_str(), simd::BackendName(simd::ActiveBackend()));
-  }
 }
 
 inline const char* OpfStyleName(OpfStyle style) {
@@ -425,9 +390,8 @@ inline ProjectionRow RunProjectionPoint(
       ProbabilisticInstance copy = *inst;  // the paper's copy phase
       double copy_ms = MsSince(t0);
       ProjectionStats stats;
-      auto result = AncestorProject(copy, *path, &stats, {},
-                                    snapshot ? &*snapshot : nullptr,
-                                    /*scratch=*/nullptr, trace);
+      auto result = AncestorProject(
+          copy, *path, &stats, snapshot ? &*snapshot : nullptr, trace);
       BenchCheck(result.status(), "project");
       auto tw = std::chrono::steady_clock::now();
       BenchCheck(WritePxmlFile(*result, scratch), "write");

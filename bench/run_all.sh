@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# Runs the JSON-emitting benchmark binaries and assembles the checked-in
-# BENCH_<PR>.json baseline.
+# Runs the JSON-emitting benchmark binaries and assembles their rows into
+# one baseline file, OUT_DIR/bench_all.json. To check a new baseline in,
+# copy that file to the next BENCH_<N>.json; the BENCH_*.json files
+# already in the repository are history and this script never rewrites
+# them.
 #
 # Usage: bench/run_all.sh [BUILD_DIR] [OUT_DIR]
 #   BUILD_DIR  cmake build directory containing bench/ (default: build)
@@ -8,28 +11,23 @@
 #
 # The sweep caps (--max-objects) keep a full run under a couple of
 # minutes on one CPU; raise them for paper-scale series. The assembled
-# BENCH_9.json embeds the fig7a series (generic explicit, and per-label
-# with frozen kernels), the fig7c series, the frozen-kernel counter
-# ablation (which now also gates the observability layer — registry
-# reconcile and tracing neutrality), the MVCC mixed read/write workload
-# (bench_batch_queries --mutate-rate): snapshot-read throughput under a
-# concurrent writer, epochs published, and mean snapshot age — the
-# PR-6 serving-path rows: the deadline mode (--deadline-ms: completed-
-# vs-expired split, bit-identical against the unconstrained reference)
-# and the admission overload mode (--overload: admitted/shed per
-# priority class) — and the PR-7 cross-query reuse rows
-# (bench_answer_cache): the cache-off / cold / warm answer-cache table
-# on a 90%-repeat workload at 1 and 4 threads and the post-mutation
-# zero-hit row — and the
-# PR-8 observability rows: the default batch table with per-query
-# latency quantiles (p50/p90/p99/p99.9) plus a flight-recorder dump and
-# Prometheus text export into OUT_DIR, and the recorder-overhead gate
-# (--recorder-gate: observability fully on vs off, bit-identical with
-# wall ratio <= 1.02, plus a forced-slow retention check) — and the PR-9
-# SIMD rows: bench_frozen_kernels under --simd=auto|avx2|sse2|scalar
-# (each run re-gates cross-backend agreement and dispatch neutrality;
-# backends the host cannot execute stay on the detected one and the row
-# records which backend actually ran).
+# file embeds the fig7a series (generic explicit, and per-label with
+# frozen kernels), the fig7c series, the frozen-kernel counter ablation
+# (which also gates the observability layer: registry reconcile and
+# tracing neutrality), the MVCC mixed read/write workload
+# (bench_batch_queries --mutate-rate: snapshot-read throughput under a
+# concurrent writer, epochs published, and mean snapshot age), the
+# serving-path rows (the deadline mode, --deadline-ms: completed-vs-
+# expired split, bit-identical against the unconstrained reference; and
+# the admission overload mode, --overload: admitted/shed per priority
+# class), the answer-cache rows (bench_answer_cache: the cache-off /
+# cold / warm table on a 90%-repeat workload at 1 and 4 threads and the
+# post-mutation zero-hit row), and the observability rows (the default
+# batch table with per-query latency quantiles p50/p90/p99/p99.9 plus a
+# flight-recorder dump and Prometheus text export into OUT_DIR, and the
+# recorder-overhead gate, --recorder-gate: observability fully on vs
+# off, bit-identical with wall ratio <= 1.02, plus a forced-slow
+# retention check).
 # bench_opf_representations writes google-benchmark JSON into OUT_DIR
 # only (its output embeds machine context, so it is uploaded as a CI
 # artifact rather than checked in). The fig7a run additionally exports
@@ -72,13 +70,6 @@ fi
 "$BUILD/bench/bench_fig7c_selection_total" --max-objects=5000 \
     --json="$OUT/fig7c.json"
 "$BUILD/bench/bench_frozen_kernels" --check --json="$OUT/frozen_kernels.json"
-# Per-backend SIMD comparison (DESIGN.md §14). Unavailable backends warn
-# and stay on the detected one; the emitted row records the backend that
-# actually ran, so the baseline stays meaningful on any host.
-for simd in avx2 sse2 scalar; do
-  "$BUILD/bench/bench_frozen_kernels" --check --simd=$simd \
-      --json="$OUT/frozen_kernels_$simd.json"
-done
 "$BUILD/bench/bench_batch_queries" --threads=4 --mutate-rate=0.1 \
     --json="$OUT/batch_mixed.json"
 # Deadline mode: generous budget-free deadline — everything completes,
@@ -114,14 +105,11 @@ done
     --json="$OUT/answer_cache_t4.json"
 
 {
-  printf '{"pr":9,"benches":{'
+  printf '{"benches":{'
   printf '"fig7a":';                  cat "$OUT/fig7a.json" | tr -d '\n'
   printf ',"fig7a_perlabel_frozen":'; cat "$OUT/fig7a_perlabel_frozen.json" | tr -d '\n'
   printf ',"fig7c":';                 cat "$OUT/fig7c.json" | tr -d '\n'
   printf ',"frozen_kernels":';        cat "$OUT/frozen_kernels.json" | tr -d '\n'
-  printf ',"frozen_kernels_avx2":';   cat "$OUT/frozen_kernels_avx2.json" | tr -d '\n'
-  printf ',"frozen_kernels_sse2":';   cat "$OUT/frozen_kernels_sse2.json" | tr -d '\n'
-  printf ',"frozen_kernels_scalar":'; cat "$OUT/frozen_kernels_scalar.json" | tr -d '\n'
   printf ',"batch_mixed":';           cat "$OUT/batch_mixed.json" | tr -d '\n'
   printf ',"batch_deadline":';        cat "$OUT/batch_deadline.json" | tr -d '\n'
   printf ',"batch_deadline_expired":'; cat "$OUT/batch_deadline_expired.json" | tr -d '\n'
@@ -131,6 +119,6 @@ done
   printf ',"answer_cache_t1":';       cat "$OUT/answer_cache_t1.json" | tr -d '\n'
   printf ',"answer_cache_t4":';       cat "$OUT/answer_cache_t4.json" | tr -d '\n'
   printf '}}\n'
-} > BENCH_9.json
+} > "$OUT/bench_all.json"
 
-echo "wrote BENCH_9.json (+ per-bench JSON in $OUT)"
+echo "wrote $OUT/bench_all.json (+ per-bench JSON in $OUT)"

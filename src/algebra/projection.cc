@@ -1,6 +1,5 @@
 #include "algebra/projection.h"
 
-#include <atomic>
 #include <chrono>
 #include <optional>
 #include <unordered_map>
@@ -8,7 +7,6 @@
 #include "obs/metrics.h"
 #include "prob/distribution.h"
 #include "query/frozen.h"
-#include "query/kernel_batch.h"
 #include "util/strings.h"
 
 namespace pxml {
@@ -101,11 +99,10 @@ void SetCardFromSupport(ObjectId o, LabelId l,
   weak->SetCard(o, l, IntInterval(lo, hi)).ok();
 }
 
-/// Per-worker reusable buffers for the marginalization pass. Frontier
-/// objects run concurrently on pool workers, so each worker needs a
-/// private accumulator; thread-local storage keeps its capacity across
-/// queries (pool workers are long-lived), so warm re-queries never
-/// allocate on the hot path.
+/// Reusable buffers for the marginalization pass. A projection runs on
+/// one thread; thread-local storage keeps their capacity across queries
+/// (pool workers are long-lived), so warm re-queries never allocate on
+/// the hot path.
 struct MarginScratch {
   std::vector<double> acc;
   std::vector<std::uint32_t> retained;
@@ -120,10 +117,8 @@ MarginScratch& LocalMarginScratch() {
 
 Result<ProbabilisticInstance> AncestorProject(
     const ProbabilisticInstance& instance, const PathExpression& path,
-    ProjectionStats* stats, const ParallelOptions& parallel,
-    const FrozenInstance* frozen, EpsilonScratch* scratch,
+    ProjectionStats* stats, const FrozenInstance* frozen,
     obs::TraceSession* trace, QueryControl* control) {
-  (void)scratch;  // see the header: per-object buffers are thread-local
   const WeakInstance& weak = instance.weak();
   const std::size_t num_ids = weak.dict().num_objects();
   PXML_RETURN_IF_ERROR(CheckWeakTree(weak));
@@ -187,23 +182,15 @@ Result<ProbabilisticInstance> AncestorProject(
 
   // New OPF tables for objects at depths n-1 .. 0.
   std::vector<std::unique_ptr<ExplicitOpf>> new_opf(num_ids);
-  std::atomic<std::size_t> processed{0};
-  std::atomic<std::uint64_t> row_ops{0};
-  std::atomic<std::uint64_t> materialized{0};
-  std::atomic<std::uint64_t> hot_bytes{0};
   const bool use_frozen = frozen != nullptr && frozen->InSyncWith(instance);
-  // Lane backend for the frozen independent-marginalization expansion,
-  // resolved once per pass (kernel_batch.h).
-  const kernel_batch::Evaluators ev = kernel_batch::Select();
 
   // Marginalize/ε-update one frontier object. Reads eps/dropped of the
   // (finalized) next layer, writes only this object's eps / dropped /
-  // new_opf slots — so a layer's objects can be processed in any order,
-  // or concurrently, with bit-identical results.
+  // new_opf slots.
   auto update_object = [&](ObjectId o, std::size_t level) -> Status {
     // Cooperative gate: one op up front, the object's row-ops at the
-    // end; overshoot per worker is bounded by one object's update plus
-    // the check interval (util/cancel.h).
+    // end; overshoot is bounded by one object's update plus the check
+    // interval (util/cancel.h).
     if (control != nullptr) {
       Status cs = control->Charge(1);
       if (!cs.ok()) return cs;
@@ -309,24 +296,29 @@ Result<ProbabilisticInstance> AncestorProject(
           // Closed form: retained child c lands in the surviving subset
           // independently with probability p_c·ε_c (present AND its
           // subtree survives); marginalized-out children sum to 1. The
-          // 2^|R| weights expand by tensor doubling in ascending bit
-          // order (kernel_batch.h) — per element the exact multiply
-          // sequence of the historical per-mask loop, bit-identical
-          // under every lane backend, in O(2^|R|) instead of 2^|R|·|R|.
+          // 2^|R| weights expand by doubling in ascending bit order:
+          // acc[m] = Π_b (m has bit b ? q_b : 1 − q_b), each element
+          // multiplied once per bit — the exact multiply sequence of
+          // the per-mask loop, in O(2^|R|) instead of 2^|R|·|R|.
           const auto ic = frozen->ind_children(kern);
           const auto ip = frozen->ind_probs(kern);
           ops += ic.size();
-          double q[20];
+          acc[0] = 1.0;
           for (std::size_t b = 0; b < rids.size(); ++b) {
-            q[b] = 0.0;  // a retained child outside the support: p = 0
+            double q = 0.0;  // a retained child outside the support: p = 0
             for (std::size_t i = 0; i < ic.size(); ++i) {
               if (ic[i] == rids[b]) {
-                q[b] = ip[i] * eps[rids[b]];
+                q = ip[i] * eps[rids[b]];
                 break;
               }
             }
+            const double nq = 1.0 - q;
+            const std::size_t half = std::size_t{1} << b;
+            for (std::size_t m = 0; m < half; ++m) {
+              acc[half + m] = acc[m] * q;
+              acc[m] = acc[m] * nq;
+            }
           }
-          ev.expand(q, rids.size(), acc.data());
           break;
         }
         case FrozenOpfKind::kPerLabel: {
@@ -385,10 +377,10 @@ Result<ProbabilisticInstance> AncestorProject(
         accumulate(row.prob, part_of(row.child_set.ids()));
       });
     }
-    processed.fetch_add(rows_read, std::memory_order_relaxed);
-    row_ops.fetch_add(ops, std::memory_order_relaxed);
-    if (mats != 0) materialized.fetch_add(mats, std::memory_order_relaxed);
-    if (bytes != 0) hot_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    ps.processed_entries += rows_read;
+    ps.opf_row_ops += ops;
+    ps.entries_materialized += mats;
+    ps.bytes_allocated += bytes;
     // ε_o: mass of non-empty child sets.
     double e = 0.0;
     for (std::size_t mask = 1; mask < acc.size(); ++mask) e += acc[mask];
@@ -422,33 +414,12 @@ Result<ProbabilisticInstance> AncestorProject(
   };
 
   for (std::size_t level = n; level-- > 0;) {
-    const IdSet& frontier = layers[level];
-    if (parallel.pool != nullptr && frontier.size() > 1 &&
-        frontier.size() >= parallel.min_parallel_width) {
-      const std::vector<std::uint32_t>& objs = frontier.ids();
-      std::vector<Status> statuses(objs.size());
-      const std::size_t grain = std::max<std::size_t>(
-          1, objs.size() / (4 * parallel.pool->num_threads() + 1));
-      ParallelFor(parallel.pool, objs.size(), grain,
-                  [&](std::size_t begin, std::size_t end) {
-                    for (std::size_t k = begin; k < end; ++k) {
-                      statuses[k] = update_object(objs[k], level);
-                    }
-                  });
-      // Deterministic error selection: first failure in frontier order.
-      for (const Status& s : statuses) PXML_RETURN_IF_ERROR(s);
-    } else {
-      for (ObjectId o : frontier) {
-        PXML_RETURN_IF_ERROR(update_object(o, level));
-      }
+    for (ObjectId o : layers[level]) {
+      PXML_RETURN_IF_ERROR(update_object(o, level));
     }
   }
   Clock::time_point t3 = Clock::now();
   ps.update_seconds = Seconds(t2, t3);
-  ps.processed_entries = processed.load(std::memory_order_relaxed);
-  ps.opf_row_ops = row_ops.load(std::memory_order_relaxed);
-  ps.entries_materialized = materialized.load(std::memory_order_relaxed);
-  ps.bytes_allocated = hot_bytes.load(std::memory_order_relaxed);
   ps.frozen_passes = use_frozen ? 1 : 0;
   if (update_span.has_value()) {
     update_span->Arg("dispatch", use_frozen ? "frozen" : "generic");

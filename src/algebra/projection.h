@@ -9,12 +9,10 @@
 #include "obs/trace.h"
 #include "util/cancel.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace pxml {
 
 class FrozenInstance;
-struct EpsilonScratch;
 
 /// Phase timings and counters for one projection, matching the cost
 /// breakdown of the paper's Section 7 experiments.
@@ -40,7 +38,7 @@ struct ProjectionStats {
   /// pass ran on frozen kernels or a static ExplicitOpf fast path.
   std::uint64_t entries_materialized = 0;
   /// Bytes of heap growth attributable to the marginalization hot path
-  /// (per-worker accumulator growth + fallback row materialization).
+  /// (accumulator growth + fallback row materialization).
   /// Zero on warm re-queries over frozen kernels.
   std::uint64_t bytes_allocated = 0;
   /// 1 if the update pass ran on an in-sync FrozenInstance snapshot.
@@ -65,12 +63,6 @@ struct ProjectionStats {
 /// assumption for the efficient algorithms); returns Unimplemented
 /// otherwise — use the global ProjectWorlds oracle for DAGs.
 ///
-/// With a ThreadPool in `parallel`, the marginalisation/ε pass partitions
-/// each pruned layer over independent subtrees (objects in one layer only
-/// read their children's already-finalized values and write their own
-/// slots), so the result is bit-identical to the serial pass; the root
-/// level and the structure build remain sequential.
-///
 /// `frozen` (optional) routes the marginalization pass through the
 /// compiled kernels of an in-sync FrozenInstance snapshot (query/frozen.h):
 /// explicit tables replay the generic accumulation bit-for-bit from packed
@@ -79,9 +71,7 @@ struct ProjectionStats {
 /// marginalize only the on-path factor's rows and scale by the off-path
 /// masses, so compact representations agree with the generic pass to
 /// ~1e-12 rather than bit-for-bit. An out-of-sync (or null) snapshot falls
-/// back to the generic interpreter. `scratch` is accepted for symmetry
-/// with the ε pass; the marginalization pass keeps its per-object buffers
-/// in per-worker thread-local storage.
+/// back to the generic interpreter.
 ///
 /// A non-null `trace` records the projection's three phases as
 /// "locate"/"update"/"structure" spans with their counters attached
@@ -95,8 +85,7 @@ struct ProjectionStats {
 /// bounded check interval. Null costs one branch per object update.
 Result<ProbabilisticInstance> AncestorProject(
     const ProbabilisticInstance& instance, const PathExpression& path,
-    ProjectionStats* stats = nullptr, const ParallelOptions& parallel = {},
-    const FrozenInstance* frozen = nullptr, EpsilonScratch* scratch = nullptr,
+    ProjectionStats* stats = nullptr, const FrozenInstance* frozen = nullptr,
     obs::TraceSession* trace = nullptr, QueryControl* control = nullptr);
 
 /// Efficient descendant projection: ancestor projection, plus every

@@ -68,14 +68,13 @@ void AppendRecordJson(std::string& out, const FlightRecord& rec) {
   out += QueryKindName(rec.kind);
   std::snprintf(buf, sizeof(buf),
                 "\",\"priority\":%d,\"cached\":%s,\"frozen\":%s,"
-                "\"generic\":%s,\"admitted\":%s,\"shed\":%s,\"vectorized\":%s}",
+                "\"generic\":%s,\"admitted\":%s,\"shed\":%s}",
                 static_cast<int>(rec.priority),
                 (rec.flags & kRecordCached) != 0 ? "true" : "false",
                 (rec.flags & kRecordFrozen) != 0 ? "true" : "false",
                 (rec.flags & kRecordGeneric) != 0 ? "true" : "false",
                 (rec.flags & kRecordAdmitted) != 0 ? "true" : "false",
-                (rec.flags & kRecordShed) != 0 ? "true" : "false",
-                (rec.flags & kRecordVectorized) != 0 ? "true" : "false");
+                (rec.flags & kRecordShed) != 0 ? "true" : "false");
   out += buf;
 }
 
@@ -226,8 +225,6 @@ std::string SlowQueryLog::ToJson() const {
     AppendEscaped(out, e.reason);
     out += "\",\"dispatch\":\"";
     AppendEscaped(out, e.dispatch);
-    out += "\",\"simd\":\"";
-    AppendEscaped(out, e.simd);
     out += "\",\"trace\":";
     // The span tree is already serialized JSON — embed it verbatim (null
     // when the entry was retained without a sampled session).

@@ -16,14 +16,12 @@ namespace obs {
 
 /// Flag bits of FlightRecord::flags. They summarize *how* the query was
 /// served: which cache/kernel machinery touched it and what the
-/// admission decision was. Bit 1 is retired: the other bits keep their
-/// values so records and dumps decode the same way.
+/// admission decision was. Bits 1 and 6 are retired: the other bits
+/// keep their values so records and dumps decode the same way.
 inline constexpr std::uint16_t kRecordCached = 1u << 0;    ///< answer-cache hit
 inline constexpr std::uint16_t kRecordFrozen = 1u << 2;    ///< >=1 frozen-kernel pass
 inline constexpr std::uint16_t kRecordGeneric = 1u << 3;   ///< >=1 generic pass
 inline constexpr std::uint16_t kRecordAdmitted = 1u << 4;  ///< batch passed admission
-inline constexpr std::uint16_t kRecordVectorized = 1u << 6;  ///< frozen pass ran on a
-                                                             ///< SIMD lane backend
 inline constexpr std::uint16_t kRecordShed = 1u << 5;      ///< answered on the shed /
                                                            ///< fail-fast path (never
                                                            ///< dispatched)
@@ -139,7 +137,6 @@ struct SlowQueryEntry {
   std::uint8_t status = 0;
   std::string reason;
   std::string dispatch;
-  std::string simd;  ///< lane backend tag from QueryProfile::simd
   std::string trace_json;
 };
 

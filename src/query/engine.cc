@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <ctime>
 #include <deque>
 #include <optional>
@@ -14,7 +13,6 @@
 
 #include "obs/metrics.h"
 #include "query/frozen.h"
-#include "util/simd.h"
 #include "util/strings.h"
 
 namespace pxml {
@@ -666,7 +664,6 @@ BatchAnswer QueryEngine::ExecuteOne(const BatchQuery& query,
                        : (IsServingTrip(answer.status.code()) ? "trip"
                                                               : "error");
     entry.dispatch = answer.profile.dispatch;
-    entry.simd = answer.profile.simd;
     entry.trace_json = session->ToChromeTraceJson();
     slow_log_->Retain(std::move(entry));
     SlowQueriesRetained().Increment();
@@ -687,10 +684,6 @@ BatchAnswer QueryEngine::ExecuteOneTraced(const BatchQuery& query,
                                           QueryControl* control) const {
   const auto t0 = std::chrono::steady_clock::now();
   obs::TraceSpan query_span(trace, QuerySpanName(query.kind));
-
-  ParallelOptions parallel;
-  parallel.pool = pool_.get();
-  parallel.min_parallel_width = options_.min_parallel_width;
 
   // Each query leases its own scratch arena: concurrent batch queries get
   // private buffers, returned (warm) to the pool when the query finishes.
@@ -716,8 +709,8 @@ BatchAnswer QueryEngine::ExecuteOneTraced(const BatchQuery& query,
     // profile (kind, wall time, epoch) and count on the query metrics.
   } else switch (query.kind) {
     case BatchQuery::Kind::kPoint: {
-      Result<double> p = PointQuery(instance, query.path, query.object,
-                                    parallel, query_hooks);
+      Result<double> p =
+          PointQuery(instance, query.path, query.object, query_hooks);
       if (p.ok()) {
         answer.probability = *p;
       } else {
@@ -726,8 +719,7 @@ BatchAnswer QueryEngine::ExecuteOneTraced(const BatchQuery& query,
       break;
     }
     case BatchQuery::Kind::kExists: {
-      Result<double> p =
-          ExistsQuery(instance, query.path, parallel, query_hooks);
+      Result<double> p = ExistsQuery(instance, query.path, query_hooks);
       if (p.ok()) {
         answer.probability = *p;
       } else {
@@ -736,8 +728,8 @@ BatchAnswer QueryEngine::ExecuteOneTraced(const BatchQuery& query,
       break;
     }
     case BatchQuery::Kind::kValue: {
-      Result<double> p = ValueQuery(instance, query.path, query.value,
-                                    parallel, query_hooks);
+      Result<double> p =
+          ValueQuery(instance, query.path, query.value, query_hooks);
       if (p.ok()) {
         answer.probability = *p;
       } else {
@@ -746,8 +738,8 @@ BatchAnswer QueryEngine::ExecuteOneTraced(const BatchQuery& query,
       break;
     }
     case BatchQuery::Kind::kCondition: {
-      Result<double> p = pxml::ConditionProbability(
-          instance, query.condition, parallel, query_hooks);
+      Result<double> p =
+          pxml::ConditionProbability(instance, query.condition, query_hooks);
       if (p.ok()) {
         answer.probability = *p;
       } else {
@@ -756,9 +748,9 @@ BatchAnswer QueryEngine::ExecuteOneTraced(const BatchQuery& query,
       break;
     }
     case BatchQuery::Kind::kAncestorProject: {
-      Result<ProbabilisticInstance> projected = AncestorProject(
-          instance, query.path, projection_stats, parallel,
-          query_hooks.frozen, query_hooks.scratch, trace, control);
+      Result<ProbabilisticInstance> projected =
+          AncestorProject(instance, query.path, projection_stats,
+                          query_hooks.frozen, trace, control);
       if (projected.ok()) {
         answer.projection = std::move(projected).ValueOrDie();
       } else {
@@ -774,13 +766,10 @@ BatchAnswer QueryEngine::ExecuteOneTraced(const BatchQuery& query,
   QueryProfile& prof = answer.profile;
   prof.kind = KindName(query.kind);
   prof.span = query_span.index();
-  prof.epsilon_recomputed =
-      eps_stats->recomputed.load(std::memory_order_relaxed);
+  prof.epsilon_recomputed = eps_stats->recomputed;
   prof.frozen_passes =
-      eps_stats->frozen_passes.load(std::memory_order_relaxed) +
-      projection_stats->frozen_passes;
-  prof.generic_passes =
-      eps_stats->generic_passes.load(std::memory_order_relaxed);
+      eps_stats->frozen_passes + projection_stats->frozen_passes;
+  prof.generic_passes = eps_stats->generic_passes;
   if (query.kind == BatchQuery::Kind::kAncestorProject &&
       answer.status.ok() && projection_stats->frozen_passes == 0) {
     // A completed projection whose marginalization did not run frozen ran
@@ -789,17 +778,13 @@ BatchAnswer QueryEngine::ExecuteOneTraced(const BatchQuery& query,
   }
   if (prof.frozen_passes > 0) {
     prof.dispatch = prof.generic_passes > 0 ? "mixed" : "frozen";
-    prof.simd = simd::BackendName(simd::ActiveBackend());
     if (frozen != nullptr) prof.kernel = frozen->KernelMix();
   }
-  prof.opf_row_ops = eps_stats->opf_row_ops.load(std::memory_order_relaxed) +
-                     projection_stats->opf_row_ops;
-  prof.entries_materialized =
-      eps_stats->entries_materialized.load(std::memory_order_relaxed) +
-      projection_stats->entries_materialized;
+  prof.opf_row_ops = eps_stats->opf_row_ops + projection_stats->opf_row_ops;
+  prof.entries_materialized = eps_stats->entries_materialized +
+                              projection_stats->entries_materialized;
   prof.bytes_allocated =
-      eps_stats->bytes_allocated.load(std::memory_order_relaxed) +
-      projection_stats->bytes_allocated;
+      eps_stats->bytes_allocated + projection_stats->bytes_allocated;
   prof.locate_seconds = projection_stats->locate_seconds;
   prof.update_seconds = projection_stats->update_seconds;
   prof.structure_seconds = projection_stats->structure_seconds;
@@ -824,7 +809,6 @@ BatchAnswer QueryEngine::ExecuteOneTraced(const BatchQuery& query,
   if (query_span.enabled()) {
     query_span.Arg("kind", prof.kind);
     query_span.Arg("dispatch", prof.dispatch);
-    query_span.Arg("simd", prof.simd);
     query_span.Arg("ok", static_cast<std::uint64_t>(answer.status.ok()));
   }
   return answer;
@@ -1074,10 +1058,6 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
       if (a.profile.answer_cache_hit) rec.flags |= obs::kRecordCached;
       if (a.profile.frozen_passes > 0) rec.flags |= obs::kRecordFrozen;
       if (a.profile.generic_passes > 0) rec.flags |= obs::kRecordGeneric;
-      if (a.profile.frozen_passes > 0 &&
-          std::strcmp(a.profile.simd, "scalar") != 0) {
-        rec.flags |= obs::kRecordVectorized;
-      }
       recorder_->Record(rec);
     }
   }
@@ -1105,17 +1085,12 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
       stats->frozen_passes += ps.frozen_passes;
     }
     for (const EpsilonStats& es : eps_stats) {
-      stats->epsilon_recomputed +=
-          es.recomputed.load(std::memory_order_relaxed);
-      stats->opf_row_ops += es.opf_row_ops.load(std::memory_order_relaxed);
-      stats->entries_materialized +=
-          es.entries_materialized.load(std::memory_order_relaxed);
-      stats->bytes_allocated +=
-          es.bytes_allocated.load(std::memory_order_relaxed);
-      stats->frozen_passes +=
-          es.frozen_passes.load(std::memory_order_relaxed);
-      stats->generic_passes +=
-          es.generic_passes.load(std::memory_order_relaxed);
+      stats->epsilon_recomputed += es.recomputed;
+      stats->opf_row_ops += es.opf_row_ops;
+      stats->entries_materialized += es.entries_materialized;
+      stats->bytes_allocated += es.bytes_allocated;
+      stats->frozen_passes += es.frozen_passes;
+      stats->generic_passes += es.generic_passes;
     }
     stats->answer_cache_hits = answer_hits;
     stats->answer_cache_misses = answer_misses;

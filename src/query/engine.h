@@ -36,10 +36,6 @@ struct BatchOptions {
   /// runs the serial path with no pool at all (bit-for-bit the historical
   /// single-threaded implementation).
   std::size_t threads = 0;
-  /// Pruned-layer width from which the intra-query ε/marginalisation
-  /// passes are partitioned over subtrees (see ParallelOptions). Lower it
-  /// to force intra-query parallelism on small instances (tests do).
-  std::size_t min_parallel_width = 32;
   /// Epoch-keyed answer cache switch (DESIGN.md §12). With it on, a
   /// query's complete answer — status, probability, projection — is
   /// cached under (epoch id, canonical query fingerprint) and a repeat of
@@ -160,8 +156,8 @@ Status ApplyRequestFlag(std::string_view flag, QueryRequest* request);
 struct BatchStats : ProjectionStats {
   /// Worker threads the batch ran on (1 = serial path).
   std::size_t threads = 1;
-  /// Pool tasks executed on behalf of this batch (per-query tasks plus
-  /// intra-query partition chunks).
+  /// Pool tasks executed on behalf of this batch: one per query that
+  /// missed the answer cache.
   std::size_t tasks = 0;
   /// Tasks taken from another worker's deque during the batch.
   std::size_t steal_count = 0;
@@ -249,10 +245,6 @@ struct QueryProfile {
   /// "frozen" when every pass ran on the kernels, "generic" when none
   /// did, "mixed" otherwise.
   const char* dispatch = "generic";
-  /// The SIMD lane backend the frozen kernels dispatched to ("avx2",
-  /// "sse2" or "scalar" — util/simd.h); "scalar" whenever no frozen pass
-  /// ran, since the generic interpreter never vectorizes.
-  const char* simd = "scalar";
   /// The kernel mix of the frozen snapshot the query ran against
   /// (FrozenInstance::KernelMix); empty on the generic path.
   std::string kernel;
@@ -339,8 +331,8 @@ struct EpsilonMemoCache {
 /// (read-your-writes callers who prefer failing fast over reading the
 /// previous epoch).
 ///
-/// Determinism: at any thread count, answers are bit-identical — every
-/// floating-point accumulation is sequential per object (see
+/// Determinism: at any thread count, answers are bit-identical — each
+/// query runs on one thread and every pass is one sequential loop (see
 /// EpsilonPropagator). A batch's answers are bit-identical to a serial
 /// replay against the committed prefix of the mutation log its epoch
 /// corresponds to (QueryProfile::epoch names it). Without serving

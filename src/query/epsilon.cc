@@ -80,7 +80,7 @@ Status EvalObjectEps(const ProbabilisticInstance& instance,
     // Ops already block-charged are also already tallied here, so the
     // tally stays exact even when the stream tripped mid-support; the
     // caller accounts only for the uncharged remainder.
-    tally.opf_row_ops.fetch_add(charged, std::memory_order_relaxed);
+    tally.opf_row_ops += charged;
     ops -= charged;
     PXML_RETURN_IF_ERROR(stream_status);
   }
@@ -95,26 +95,18 @@ Status EvalObjectEps(const ProbabilisticInstance& instance,
 
 void FlushEpsilonPass(const EpsilonStats& tally, EpsilonStats* out,
                       obs::TraceSpan& span, bool frozen) {
-  const std::uint64_t recomputed =
-      tally.recomputed.load(std::memory_order_relaxed);
-  const std::uint64_t row_ops =
-      tally.opf_row_ops.load(std::memory_order_relaxed);
-  const std::uint64_t materialized =
-      tally.entries_materialized.load(std::memory_order_relaxed);
-  const std::uint64_t bytes =
-      tally.bytes_allocated.load(std::memory_order_relaxed);
-  const std::uint64_t frozen_passes =
-      tally.frozen_passes.load(std::memory_order_relaxed);
+  const std::uint64_t recomputed = tally.recomputed;
+  const std::uint64_t row_ops = tally.opf_row_ops;
+  const std::uint64_t materialized = tally.entries_materialized;
+  const std::uint64_t bytes = tally.bytes_allocated;
+  const std::uint64_t frozen_passes = tally.frozen_passes;
   if (out != nullptr) {
-    out->recomputed.fetch_add(recomputed, std::memory_order_relaxed);
-    out->opf_row_ops.fetch_add(row_ops, std::memory_order_relaxed);
-    out->entries_materialized.fetch_add(materialized,
-                                        std::memory_order_relaxed);
-    out->bytes_allocated.fetch_add(bytes, std::memory_order_relaxed);
-    out->frozen_passes.fetch_add(frozen_passes, std::memory_order_relaxed);
-    if (!frozen) {
-      out->generic_passes.fetch_add(1, std::memory_order_relaxed);
-    }
+    out->recomputed += recomputed;
+    out->opf_row_ops += row_ops;
+    out->entries_materialized += materialized;
+    out->bytes_allocated += bytes;
+    out->frozen_passes += frozen_passes;
+    if (!frozen) ++out->generic_passes;
   }
   {
     using obs::Counter;
@@ -160,8 +152,8 @@ Result<double> EpsilonPropagator::RootEpsilon(
   // wrong answer.
   if (frozen_ != nullptr && scratch_ != nullptr &&
       frozen_->InSyncWith(instance_)) {
-    return FrozenRootEpsilon(*frozen_, instance_, path, targets, parallel_,
-                             stats_, scratch_, trace_, control_);
+    return FrozenRootEpsilon(*frozen_, instance_, path, targets, stats_,
+                             scratch_, trace_, control_);
   }
   obs::TraceSpan span(trace_, "epsilon");
   // Every counter of the pass lands in a pass-local tally first and is
@@ -194,13 +186,10 @@ Result<double> EpsilonPropagator::RootEpsilonGeneric(
     }
     eps[t.object] = t.eps;
   }
-  tally.bytes_allocated.fetch_add(eps.size() * sizeof(double),
-                                  std::memory_order_relaxed);
+  tally.bytes_allocated += eps.size() * sizeof(double);
   if (n == 0) return eps[weak.root()];
 
   // ε of one frontier object from its children's (finalized) ε values.
-  // Writes only its own eps slot; the per-row sums stay sequential per
-  // object, so parallel and serial execution produce identical bits.
   auto process = [&](ObjectId o, LabelId l, const IdSet& next_layer) -> Status {
     // Cooperative gate: one op up front, the object's row-ops at the
     // end, and block charges inside the potentially-exponential
@@ -218,13 +207,10 @@ Result<double> EpsilonPropagator::RootEpsilonGeneric(
                                        control_, tally, e, ops, materialized,
                                        bytes));
     eps[o] = e;
-    tally.recomputed.fetch_add(1, std::memory_order_relaxed);
-    tally.opf_row_ops.fetch_add(ops, std::memory_order_relaxed);
-    if (materialized != 0) {
-      tally.entries_materialized.fetch_add(materialized,
-                                           std::memory_order_relaxed);
-    }
-    tally.bytes_allocated.fetch_add(bytes, std::memory_order_relaxed);
+    ++tally.recomputed;
+    tally.opf_row_ops += ops;
+    tally.entries_materialized += materialized;
+    tally.bytes_allocated += bytes;
     // Charged after the work; overshoot is bounded by one object's
     // stored rows.
     if (control_ != nullptr) {
@@ -236,27 +222,8 @@ Result<double> EpsilonPropagator::RootEpsilonGeneric(
 
   for (std::size_t level = n; level-- > 0;) {
     const LabelId l = path.labels[level];
-    const IdSet& frontier = layers[level];
-    const IdSet& next_layer = layers[level + 1];
-    if (parallel_.pool != nullptr && frontier.size() > 1 &&
-        frontier.size() >= parallel_.min_parallel_width) {
-      // Partition the frontier; each chunk fills disjoint status slots.
-      const std::vector<ObjectId>& objs = frontier.ids();
-      std::vector<Status> statuses(objs.size());
-      const std::size_t grain = std::max<std::size_t>(
-          1, objs.size() / (4 * parallel_.pool->num_threads() + 1));
-      ParallelFor(parallel_.pool, objs.size(), grain,
-                  [&](std::size_t begin, std::size_t end) {
-                    for (std::size_t k = begin; k < end; ++k) {
-                      statuses[k] = process(objs[k], l, next_layer);
-                    }
-                  });
-      // Deterministic error selection: first failure in frontier order.
-      for (const Status& s : statuses) PXML_RETURN_IF_ERROR(s);
-    } else {
-      for (ObjectId o : frontier) {
-        PXML_RETURN_IF_ERROR(process(o, l, next_layer));
-      }
+    for (ObjectId o : layers[level]) {
+      PXML_RETURN_IF_ERROR(process(o, l, layers[level + 1]));
     }
   }
   return eps[weak.root()];

@@ -1,7 +1,6 @@
 #ifndef PXML_QUERY_EPSILON_H_
 #define PXML_QUERY_EPSILON_H_
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 
@@ -11,7 +10,6 @@
 #include "prob/value.h"
 #include "util/cancel.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace pxml {
 
@@ -27,33 +25,33 @@ struct TargetEps {
 /// Operation counters for ε-propagation passes. `recomputed` is the
 /// number of per-object ε evaluations actually performed — the quantity
 /// the Fig 7b-style incremental-update experiments assert on (wall clock
-/// is unobservable in a 1-CPU container). Atomic because intra-query
-/// parallel passes update them from several workers; totals are exact.
+/// is unobservable in a 1-CPU container). Plain counters: every pass runs
+/// on one thread, and the engine gives each query its own EpsilonStats.
 struct EpsilonStats {
-  std::atomic<std::uint64_t> recomputed{0};
+  std::uint64_t recomputed = 0;
   /// Per-row OPF work: +1 per support row visited during an ε evaluation
   /// plus +1 per child slot of that row (for independent OPFs, +1 per
   /// (child, p) entry; for per-label factors, +1 per factor). The
   /// representation-specialization wins assert on the ratio of this
   /// counter between the generic and frozen paths.
-  std::atomic<std::uint64_t> opf_row_ops{0};
+  std::uint64_t opf_row_ops = 0;
   /// Transient OpfEntry rows constructed to serve an evaluation: compact
   /// representations streamed through Opf::ForEachEntry count one per
   /// enumerated row; ExplicitOpf rows iterated in place and frozen
   /// kernels count zero.
-  std::atomic<std::uint64_t> entries_materialized{0};
+  std::uint64_t entries_materialized = 0;
   /// Tracked hot-path heap bytes: scratch-arena capacity growth on the
   /// frozen path (zero once warm) and, on the generic path, the size of
   /// the per-pass ε table, the per-object retained sets and any
   /// materialized transient rows. Not a full malloc audit — a lower
   /// bound that is exactly 0 for a warmed-up frozen re-query.
-  std::atomic<std::uint64_t> bytes_allocated{0};
+  std::uint64_t bytes_allocated = 0;
   /// ε passes answered by the frozen kernels (vs the generic interpreter).
-  std::atomic<std::uint64_t> frozen_passes{0};
+  std::uint64_t frozen_passes = 0;
   /// ε passes handled by the generic interpreter (successful or not). A
   /// frozen pass that failed validation before its frozen_passes bump
   /// counts under neither, matching the historical frozen_passes rule.
-  std::atomic<std::uint64_t> generic_passes{0};
+  std::uint64_t generic_passes = 0;
 };
 
 /// Folds a pass-local tally into the caller's stats (if any), mirrors it
@@ -78,15 +76,9 @@ struct EpsilonScratch;
 ///
 /// (children survive independently in a tree), and returns ε_root.
 ///
-/// With a ThreadPool in `parallel`, wide levels of the bottom-up pass are
-/// partitioned across workers: objects in one pruned layer lie in
-/// disjoint subtrees, so their ε values depend only on the (already
-/// finalized) layer below and each per-object sum stays sequential —
-/// the result is bit-identical to the serial pass regardless of
-/// scheduling. The final root combine is inherently sequential.
-///
-/// The propagator is stateless: every pass evaluates every object of the
-/// pruned layers once, and nothing survives between passes.
+/// The propagator is stateless: every pass is one sequential loop over
+/// the pruned layers that evaluates every object of them once, and
+/// nothing survives between passes.
 class EpsilonPropagator {
  public:
   /// With a `frozen` snapshot that is in sync with `instance`
@@ -107,14 +99,12 @@ class EpsilonPropagator {
   /// deadline-blown, or over-budget query stops within the bounded check
   /// interval (util/cancel.h) instead of running the pass to completion.
   explicit EpsilonPropagator(const ProbabilisticInstance& instance,
-                             ParallelOptions parallel = {},
                              EpsilonStats* stats = nullptr,
                              const FrozenInstance* frozen = nullptr,
                              EpsilonScratch* scratch = nullptr,
                              obs::TraceSession* trace = nullptr,
                              QueryControl* control = nullptr)
       : instance_(instance),
-        parallel_(parallel),
         stats_(stats),
         frozen_(frozen),
         scratch_(scratch),
@@ -137,7 +127,6 @@ class EpsilonPropagator {
                                     EpsilonStats& tally) const;
 
   const ProbabilisticInstance& instance_;
-  ParallelOptions parallel_;
   EpsilonStats* stats_;
   const FrozenInstance* frozen_;
   EpsilonScratch* scratch_;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "query/kernel_batch.h"
 #include "util/strings.h"
 
 namespace pxml {
@@ -13,8 +12,8 @@ namespace pxml {
 namespace {
 
 /// Charges any capacity growth of `v` since `cap_before` to the arena.
-template <typename T, typename Alloc>
-void ChargeGrowth(EpsilonScratch* scratch, const std::vector<T, Alloc>& v,
+template <typename T>
+void ChargeGrowth(EpsilonScratch* scratch, const std::vector<T>& v,
                   std::size_t cap_before) {
   if (v.capacity() > cap_before) {
     scratch->bytes_grown += (v.capacity() - cap_before) * sizeof(T);
@@ -33,8 +32,7 @@ obs::Counter& RefreezeRecompiled() {
 }
 
 // Layer-loop execution counters: the path levels the full ε pass
-// evaluated, the kernels it evaluated in them, and the levels wide enough
-// to fan out across the ThreadPool.
+// evaluated and the kernels it evaluated in them.
 obs::Counter& LevelBatches() {
   static obs::Counter& c =
       obs::Registry::Global().GetCounter("pxml.frozen.level_batches");
@@ -43,11 +41,6 @@ obs::Counter& LevelBatches() {
 obs::Counter& LevelObjects() {
   static obs::Counter& c =
       obs::Registry::Global().GetCounter("pxml.frozen.level_objects");
-  return c;
-}
-obs::Counter& LevelParallel() {
-  static obs::Counter& c =
-      obs::Registry::Global().GetCounter("pxml.frozen.level_parallel");
   return c;
 }
 
@@ -141,61 +134,7 @@ Result<FrozenInstance> FrozenInstance::Freeze(
     PXML_RETURN_IF_ERROR(st);
     fz.kernels_[o] = k;
   }
-  fz.ComputeKernelTables();
   return fz;
-}
-
-void FrozenInstance::ComputeKernelTables() {
-  per_label_mass_all_.assign(kernels_.size(), 1.0);
-  row_mask_.assign(row_prob_.size(), 0);
-  for (ObjectId o : topo_order_) {
-    const Kernel& k = kernels_[o];
-    if (k.kind != FrozenOpfKind::kPerLabel) continue;
-    // mass_all multiplies in ascending factor order — the same sequence
-    // the scalar recurrence executes, so the cached product has the
-    // same bits.
-    double mass_all = 1.0;
-    for (std::uint32_t fi = k.begin; fi < k.end; ++fi) {
-      mass_all *= factors_[fi].mass;
-    }
-    per_label_mass_all_[o] = mass_all;
-    for (std::uint32_t fi = k.begin; fi < k.end; ++fi) {
-      Factor& f = factors_[fi];
-      double excl = 1.0;
-      for (std::uint32_t fj = k.begin; fj < k.end; ++fj) {
-        if (fj != fi) excl *= factors_[fj].mass;
-      }
-      f.excl_mass = excl;
-      const std::span<const ObjectId> uni = children(o, f.label);
-      f.bits = static_cast<std::uint32_t>(uni.size());
-      f.vec = uni.size() <= kMaxVectorBits;
-      std::uint64_t on_ops = 0;
-      bool dense = true;
-      for (std::uint32_t r = f.row_begin; r < f.row_end; ++r) {
-        const std::uint32_t child_begin = row_child_begin_[r];
-        const std::uint32_t child_end = row_child_begin_[r + 1];
-        if (row_prob_[r] > 0.0) on_ops += 1 + (child_end - child_begin);
-        if (!f.vec) continue;
-        std::uint32_t m = 0;
-        for (std::uint32_t ci = child_begin; ci < child_end; ++ci) {
-          const ObjectId c = row_children_[ci];
-          const auto it = std::lower_bound(uni.begin(), uni.end(), c);
-          if (it == uni.end() || *it != c) {
-            // Freeze verified row children live inside the factor
-            // universe, so this is unreachable — but a defensive scalar
-            // fallback beats a wrong mask.
-            f.vec = false;
-            break;
-          }
-          m |= 1u << static_cast<std::uint32_t>(it - uni.begin());
-        }
-        row_mask_[r] = m;
-        if (m != r - f.row_begin) dense = false;
-      }
-      f.on_ops = on_ops;
-      f.dense = f.vec && dense;
-    }
-  }
 }
 
 Status FrozenInstance::CompileKernel(FrozenInstance& fz,
@@ -416,10 +355,6 @@ Result<FrozenInstance> FrozenInstance::Refreeze(
   }
   RefreezeReused().Add(reused);
   RefreezeRecompiled().Add(recompiled);
-  // Row offsets moved even for reused kernels, so the ℘-dependent lookup
-  // tables are rebuilt from scratch — recomputation *is* the fixup, and
-  // it reproduces a full Freeze's tables exactly.
-  fz.ComputeKernelTables();
   return fz;
 }
 
@@ -505,13 +440,89 @@ void BuildFrozenPrunedLayers(const FrozenInstance& frozen,
   }
 }
 
+/// Evaluates o's compiled kernel: the retained-membership test is
+/// `mark[j] != 0` and child ε values come from the pass's `eps` array
+/// (indexed by ObjectId). kLeaf/kMissing is the pass's per-object error.
+Status EvalFrozenKernel(const FrozenInstance& frozen,
+                        const ProbabilisticInstance& instance, ObjectId o,
+                        LabelId l, const std::uint8_t* mark,
+                        const double* eps, double& e_out,
+                        std::uint64_t& ops_out) {
+  const FrozenInstance::Kernel& k = frozen.kernel(o);
+  double e = 0.0;
+  std::uint64_t ops = 0;
+  switch (k.kind) {
+    case FrozenOpfKind::kLeaf:
+    case FrozenOpfKind::kMissing:
+      return Status::FailedPrecondition(StrCat(
+          "non-leaf '", instance.dict().ObjectName(o), "' has no OPF"));
+    case FrozenOpfKind::kExplicit: {
+      for (std::uint32_t r = k.begin; r < k.end; ++r) {
+        const double p = frozen.row_prob(r);
+        if (p <= 0.0) continue;
+        const std::span<const ObjectId> rc = frozen.row_children(r);
+        ops += 1 + rc.size();
+        double none = 1.0;
+        for (ObjectId j : rc) {
+          if (mark[j]) none *= 1.0 - eps[j];
+        }
+        e += p * (1.0 - none);
+      }
+      break;
+    }
+    case FrozenOpfKind::kIndependent: {
+      const std::span<const ObjectId> ic = frozen.ind_children(k);
+      const std::span<const double> ip = frozen.ind_probs(k);
+      ops += ic.size();
+      double none = 1.0;
+      for (std::size_t i = 0; i < ic.size(); ++i) {
+        if (mark[ic[i]]) none *= 1.0 - ip[i] * eps[ic[i]];
+      }
+      e = 1.0 - none;
+      break;
+    }
+    case FrozenOpfKind::kPerLabel: {
+      // Factored recurrence (DESIGN.md §9): only the on-path label's
+      // factor sees retained children; every other factor contributes
+      // its mass. Σ_l 2^{b_l} instead of Π_l 2^{b_l}.
+      double mass_all = 1.0;
+      double survive_all = 1.0;
+      for (const FrozenInstance::Factor& f : frozen.factors(k)) {
+        ops += 1;
+        mass_all *= f.mass;
+        if (f.label != l) {
+          survive_all *= f.mass;
+          continue;
+        }
+        double sum = 0.0;
+        for (std::uint32_t r = f.row_begin; r < f.row_end; ++r) {
+          const double p = frozen.row_prob(r);
+          if (p <= 0.0) continue;
+          const std::span<const ObjectId> rc = frozen.row_children(r);
+          ops += 1 + rc.size();
+          double none = 1.0;
+          for (ObjectId j : rc) {
+            if (mark[j]) none *= 1.0 - eps[j];
+          }
+          sum += p * none;
+        }
+        survive_all *= sum;
+      }
+      e = mass_all - survive_all;
+      break;
+    }
+  }
+  e_out = e;
+  ops_out = ops;
+  return Status::Ok();
+}
+
 /// The pass body; every counter lands in `tally`, which the public
 /// wrapper flushes once at pass end.
 Result<double> FrozenRootEpsilonImpl(const FrozenInstance& frozen,
                                      const ProbabilisticInstance& instance,
                                      const PathExpression& path,
                                      std::span<const TargetEps> targets,
-                                     const ParallelOptions& parallel,
                                      EpsilonStats& tally,
                                      EpsilonScratch* scratch,
                                      QueryControl* control) {
@@ -538,45 +549,36 @@ Result<double> FrozenRootEpsilonImpl(const FrozenInstance& frozen,
     }
     for (ObjectId j : final_layer) s->mark[j] = 0;
   }
-  tally.frozen_passes.fetch_add(1, std::memory_order_relaxed);
+  ++tally.frozen_passes;
   if (n == 0) {
-    tally.bytes_allocated.fetch_add(s->TakeBytesGrown(),
-                                    std::memory_order_relaxed);
+    tally.bytes_allocated += s->TakeBytesGrown();
     return s->eps[frozen.root()];
   }
-
-  // The lane backend is resolved once per pass, so a concurrent
-  // SetBackend (benchmarks only) cannot split one pass across backends.
-  const kernel_batch::Evaluators ev = kernel_batch::Select();
 
   // ε of one frontier object via its compiled kernel. During a level,
   // mark[j] == 1 ⟺ j is in the pruned next layer; Freeze verified every
   // kernel child is a declared potential child of its object, and in a
   // tree a potential child of o that reaches the next layer necessarily
   // got there through o under the level's label — so the single mark test
-  // equals the generic `∈ Lch(o, l) ∩ next_layer` membership, and each
-  // mark slot is read only by the unique parent of j (no races). Writes
-  // only its own eps slot; per-row accumulation order matches the
-  // generic interpreter exactly for explicit/independent kernels. The
-  // vector backends additionally rely on the invariant that eps[j] is
-  // exactly +0.0 for every unmarked child (the pass zero-fills eps and
-  // only pruned-layer objects are written), which lets them drop the
-  // mark test — see kernel_batch.h.
+  // equals the generic `∈ Lch(o, l) ∩ next_layer` membership. Per-row
+  // accumulation order matches the generic interpreter exactly for
+  // explicit/independent kernels.
   auto process = [&](ObjectId o, LabelId l) -> Status {
     // Cooperative gate: one op up front, the kernel's row-ops at the
-    // end — overshoot per worker is bounded by one kernel's rows plus the
-    // check interval (util/cancel.h).
+    // end — overshoot is bounded by one kernel's rows plus the check
+    // interval (util/cancel.h).
     if (control != nullptr) {
       Status cs = control->Charge(1);
       if (!cs.ok()) return cs;
     }
     double e = 0.0;
     std::uint64_t ops = 0;
-    PXML_RETURN_IF_ERROR(ev.eval_one(frozen, instance, o, l, s->mark.data(),
-                                     s->eps.data(), e, ops));
+    PXML_RETURN_IF_ERROR(EvalFrozenKernel(frozen, instance, o, l,
+                                          s->mark.data(), s->eps.data(), e,
+                                          ops));
     s->eps[o] = e;
-    tally.recomputed.fetch_add(1, std::memory_order_relaxed);
-    tally.opf_row_ops.fetch_add(ops, std::memory_order_relaxed);
+    ++tally.recomputed;
+    tally.opf_row_ops += ops;
     if (control != nullptr) {
       Status cs = control->Charge(ops);
       if (!cs.ok()) return cs;
@@ -592,36 +594,14 @@ Result<double> FrozenRootEpsilonImpl(const FrozenInstance& frozen,
     LevelBatches().Add(1);
     LevelObjects().Add(frontier.size());
     Status level_status = Status::Ok();
-    if (parallel.pool != nullptr && frontier.size() > 1 &&
-        frontier.size() >= parallel.min_parallel_width) {
-      LevelParallel().Add(1);
-      s->SizeTo(s->statuses, frontier.size());
-      const std::size_t grain = std::max<std::size_t>(
-          1, frontier.size() / (4 * parallel.pool->num_threads() + 1));
-      ParallelFor(parallel.pool, frontier.size(), grain,
-                  [&](std::size_t begin, std::size_t end) {
-                    for (std::size_t k = begin; k < end; ++k) {
-                      s->statuses[k] = process(frontier[k], l);
-                    }
-                  });
-      // Deterministic error selection: first failure in frontier order.
-      for (std::size_t k = 0; k < frontier.size(); ++k) {
-        if (!s->statuses[k].ok()) {
-          level_status = s->statuses[k];
-          break;
-        }
-      }
-    } else {
-      for (ObjectId o : frontier) {
-        level_status = process(o, l);
-        if (!level_status.ok()) break;
-      }
+    for (ObjectId o : frontier) {
+      level_status = process(o, l);
+      if (!level_status.ok()) break;
     }
     for (ObjectId j : next) s->mark[j] = 0;
     PXML_RETURN_IF_ERROR(level_status);
   }
-  tally.bytes_allocated.fetch_add(s->TakeBytesGrown(),
-                                  std::memory_order_relaxed);
+  tally.bytes_allocated += s->TakeBytesGrown();
   return s->eps[frozen.root()];
 }
 
@@ -636,14 +616,13 @@ Result<double> FrozenRootEpsilon(const FrozenInstance& frozen,
                                  const ProbabilisticInstance& instance,
                                  const PathExpression& path,
                                  std::span<const TargetEps> targets,
-                                 const ParallelOptions& parallel,
                                  EpsilonStats* stats, EpsilonScratch* scratch,
                                  obs::TraceSession* trace,
                                  QueryControl* control) {
   obs::TraceSpan span(trace, "epsilon");
   EpsilonStats tally;
   Result<double> result = FrozenRootEpsilonImpl(
-      frozen, instance, path, targets, parallel, tally, scratch, control);
+      frozen, instance, path, targets, tally, scratch, control);
   FlushEpsilonPass(tally, stats, span, /*frozen=*/true);
   return result;
 }

@@ -12,9 +12,7 @@
 #include "core/probabilistic_instance.h"
 #include "graph/path.h"
 #include "query/epsilon.h"
-#include "util/simd.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace pxml {
 
@@ -38,17 +36,11 @@ enum class FrozenOpfKind : std::uint8_t {
 /// (wall clock is unobservable in a 1-CPU container).
 struct EpsilonScratch {
   // ε propagation over the frozen form. (The projection marginalization
-  // pass keeps its per-object buffers in per-worker thread-local storage
-  // instead — its frontier objects run concurrently on pool workers and
-  // need private accumulators.)
-  //
-  // The hot arrays the vector kernels read (eps, mark) use the 64-byte
-  // aligned allocator: vector loads are aligned, and no two pooled
-  // arenas — leased to sibling workers — ever share a cache line.
-  simd::AlignedVector<double> eps;
-  simd::AlignedVector<std::uint8_t> mark;  // pruned-layer membership bitmap
+  // pass keeps its per-object buffers in thread-local storage instead —
+  // see algebra/projection.cc.)
+  std::vector<double> eps;
+  std::vector<std::uint8_t> mark;  // pruned-layer membership bitmap
   std::vector<std::vector<ObjectId>> layers;
-  std::vector<Status> statuses;
 
   /// Bytes of heap capacity grown since the last Take (0 once warm).
   std::uint64_t bytes_grown = 0;
@@ -60,19 +52,17 @@ struct EpsilonScratch {
   }
 
   /// resize-with-accounting: any capacity growth is charged to
-  /// `bytes_grown` before the resize happens. The allocator parameter
-  /// keeps one template serving both the plain and the 64-byte-aligned
-  /// vectors above.
-  template <typename T, typename Alloc>
-  void SizeTo(std::vector<T, Alloc>& v, std::size_t n) {
+  /// `bytes_grown` before the resize happens.
+  template <typename T>
+  void SizeTo(std::vector<T>& v, std::size_t n) {
     if (v.capacity() < n) {
       bytes_grown += (n - v.capacity()) * sizeof(T);
       v.reserve(n);
     }
     v.resize(n);
   }
-  template <typename T, typename Alloc>
-  void FillTo(std::vector<T, Alloc>& v, std::size_t n, const T& value) {
+  template <typename T>
+  void FillTo(std::vector<T>& v, std::size_t n, const T& value) {
     if (v.capacity() < n) {
       bytes_grown += (n - v.capacity()) * sizeof(T);
       v.reserve(n);
@@ -155,7 +145,7 @@ class EpsilonScratchPool {
 ///
 /// Determinism: the explicit and independent kernels replay the generic
 /// interpreter's exact per-object accumulation order, so their ε values
-/// are bit-identical to the unfrozen path at every thread count. The
+/// are bit-identical to the unfrozen path. The
 /// per-label kernel uses the factored recurrence
 ///   ε_o = Π_l mass_l − Π_l S_l,   S_l = Σ_{c_l} P_l(c_l) Π_{j ∈ c_l ∩ R}
 ///         (1 − ε_j)
@@ -181,35 +171,13 @@ class FrozenInstance {
   /// One per-label factor block: its rows live in the shared explicit
   /// row arrays; `mass` is the factor's total probability (1 for a
   /// normalized factor), the constant an off-path factor contributes to
-  /// the factored recurrence. The fields below `mass` are Freeze-time
-  /// lookup tables (ComputeKernelTables) that hoist work the scalar
-  /// recurrence redid per evaluation: `excl_mass` is the product of the
-  /// *other* factors' masses (ascending factor order), `on_ops` the
-  /// row-op count this factor charges when it is the on-path factor,
-  /// `bits` its child-universe size b_l, and `vec` whether the vector
-  /// backends may use the 2^{b_l} subset-product table for it
-  /// (b_l ≤ kMaxVectorBits and every row mapped to a universe mask).
+  /// the factored recurrence.
   struct Factor {
     LabelId label;
     std::uint32_t row_begin;
     std::uint32_t row_end;
     double mass;
-    double excl_mass = 1.0;
-    std::uint64_t on_ops = 0;
-    std::uint32_t bits = 0;
-    bool vec = false;
-    /// True when row r's universe mask is exactly r − row_begin (the
-    /// full-subset-enumeration layout of §7.1 workloads): the vector
-    /// backends then read the subset table sequentially instead of
-    /// through a gather — same documented reduction order, same bits.
-    bool dense = false;
   };
-
-  /// Largest per-label child universe the vector backends expand into a
-  /// subset-product table (2^bits doubles of per-worker scratch; 12 keeps
-  /// the table inside L1). Wider factors fall back to the scalar
-  /// reference kernel.
-  static constexpr std::uint32_t kMaxVectorBits = 12;
 
   /// Compiles a snapshot. Requires a tree-shaped weak instance
   /// (kNotATree otherwise — the generic interpreter remains the only
@@ -294,9 +262,6 @@ class FrozenInstance {
             row_children_.data() + row_child_begin_[r + 1]};
   }
   std::size_t num_rows() const { return row_prob_.size(); }
-  /// Raw row arrays for the vector kernels (contiguous per factor).
-  const double* row_prob_data() const { return row_prob_.data(); }
-  const std::uint32_t* row_mask_data() const { return row_mask_.data(); }
 
   // Independent entries.
   std::span<const ObjectId> ind_children(const Kernel& k) const {
@@ -310,16 +275,6 @@ class FrozenInstance {
   std::span<const Factor> factors(const Kernel& k) const {
     return {factors_.data() + k.begin, factors_.data() + k.end};
   }
-
-  /// Π_l mass_l of a per-label kernel, multiplied in ascending factor
-  /// order at table-build time — the same bits the scalar recurrence's
-  /// inline product produces. 1.0 for every other kind.
-  double per_label_mass_all(ObjectId o) const {
-    return per_label_mass_all_[o];
-  }
-  /// The bitmask of row r's children over its factor's ascending child
-  /// universe (meaningful only for rows of `vec` per-label factors).
-  std::uint32_t row_mask(std::uint32_t r) const { return row_mask_[r]; }
 
  private:
   struct Span {
@@ -358,13 +313,6 @@ class FrozenInstance {
   ObjectId root_ = kInvalidId;
   std::uint64_t version_ = 0;
   std::uint64_t structure_version_ = 0;
-
-  /// ℘-dependent lookup tables (ComputeKernelTables; rebuilt by both
-  /// Freeze and Refreeze after kernel compilation).
-  std::vector<double> per_label_mass_all_;     // indexed by ObjectId
-  std::vector<std::uint32_t> row_mask_;        // parallel to row_prob_
-
-  void ComputeKernelTables();
 };
 
 /// The frozen-form ε-propagation pass: semantics of
@@ -381,7 +329,6 @@ Result<double> FrozenRootEpsilon(const FrozenInstance& frozen,
                                  const ProbabilisticInstance& instance,
                                  const PathExpression& path,
                                  std::span<const TargetEps> targets,
-                                 const ParallelOptions& parallel,
                                  EpsilonStats* stats, EpsilonScratch* scratch,
                                  obs::TraceSession* trace = nullptr,
                                  QueryControl* control = nullptr);

@@ -32,7 +32,6 @@ bool UseFrozenLayers(const ProbabilisticInstance& instance,
 
 Result<double> PointQuery(const ProbabilisticInstance& instance,
                           const PathExpression& path, ObjectId object,
-                          const ParallelOptions& parallel,
                           const EpsilonHooks& hooks) {
   if (UseFrozenLayers(instance, path, hooks)) {
     hooks.frozen->BuildPrunedLayers(path, hooks.scratch);
@@ -44,7 +43,7 @@ Result<double> PointQuery(const ProbabilisticInstance& instance,
                           PrunedWeakPathLayers(instance.weak(), path));
     if (!layers.back().Contains(object)) return 0.0;
   }
-  EpsilonPropagator prop(instance, parallel, hooks.stats, hooks.frozen,
+  EpsilonPropagator prop(instance, hooks.stats, hooks.frozen,
                          hooks.scratch, hooks.trace, hooks.control);
   const TargetEps target{object, 1.0};
   return prop.RootEpsilon(path, std::span<const TargetEps>(&target, 1));
@@ -52,7 +51,6 @@ Result<double> PointQuery(const ProbabilisticInstance& instance,
 
 Result<double> ExistsQuery(const ProbabilisticInstance& instance,
                            const PathExpression& path,
-                           const ParallelOptions& parallel,
                            const EpsilonHooks& hooks) {
   std::vector<TargetEps> targets;
   if (UseFrozenLayers(instance, path, hooks)) {
@@ -68,27 +66,23 @@ Result<double> ExistsQuery(const ProbabilisticInstance& instance,
     for (ObjectId o : layers.back()) targets.push_back(TargetEps{o, 1.0});
   }
   if (targets.empty()) return 0.0;
-  EpsilonPropagator prop(instance, parallel, hooks.stats, hooks.frozen,
+  EpsilonPropagator prop(instance, hooks.stats, hooks.frozen,
                          hooks.scratch, hooks.trace, hooks.control);
   return prop.RootEpsilon(path, targets);
 }
 
 Result<double> ValueQuery(const ProbabilisticInstance& instance,
                           const PathExpression& path, const Value& value,
-                          const ParallelOptions& parallel,
                           const EpsilonHooks& hooks) {
   return ConditionProbability(
-      instance, SelectionCondition::ValueEquals(path, value), parallel,
-      hooks);
+      instance, SelectionCondition::ValueEquals(path, value), hooks);
 }
 
 Result<double> ConditionProbability(const ProbabilisticInstance& instance,
                                     const SelectionCondition& condition,
-                                    const ParallelOptions& parallel,
                                     const EpsilonHooks& hooks) {
   if (condition.kind == SelectionCondition::Kind::kObject) {
-    return PointQuery(instance, condition.path, condition.object, parallel,
-                      hooks);
+    return PointQuery(instance, condition.path, condition.object, hooks);
   }
   const WeakInstance& weak = instance.weak();
   PXML_ASSIGN_OR_RETURN(std::vector<IdSet> layers,
@@ -141,7 +135,7 @@ Result<double> ConditionProbability(const ProbabilisticInstance& instance,
     targets.push_back(TargetEps{o, e});
   }
   if (targets.empty()) return 0.0;
-  EpsilonPropagator prop(instance, parallel, hooks.stats, hooks.frozen,
+  EpsilonPropagator prop(instance, hooks.stats, hooks.frozen,
                          hooks.scratch, hooks.trace, hooks.control);
   return prop.RootEpsilon(condition.path, targets);
 }

@@ -10,7 +10,6 @@
 #include "query/epsilon.h"
 #include "util/cancel.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace pxml {
 
@@ -19,11 +18,6 @@ namespace pxml {
 /// over the path ancestors; the *ViaWorlds variants are the exponential
 /// possible-worlds oracles used for testing and for the global-vs-local
 /// ablation benchmark.
-///
-/// Each efficient variant accepts ParallelOptions: with a pool, the
-/// ε-propagation pass is partitioned over independent subtrees (see
-/// EpsilonPropagator); the default is the serial path and the result is
-/// bit-identical either way.
 ///
 /// The free functions are the convenience entry points (and what the
 /// QueryEngine facade wraps): `hooks` optionally plugs in the facade's
@@ -54,19 +48,16 @@ struct EpsilonHooks {
 /// a random compatible world (Def 6.1). Zero if o cannot match p.
 Result<double> PointQuery(const ProbabilisticInstance& instance,
                           const PathExpression& path, ObjectId object,
-                          const ParallelOptions& parallel = {},
                           const EpsilonHooks& hooks = {});
 
 /// P(∃ o: o ∈ p): some object satisfies p.
 Result<double> ExistsQuery(const ProbabilisticInstance& instance,
                            const PathExpression& path,
-                           const ParallelOptions& parallel = {},
                            const EpsilonHooks& hooks = {});
 
 /// P(∃ o ∈ p with val(o) = v): some leaf reached by p carries value v.
 Result<double> ValueQuery(const ProbabilisticInstance& instance,
                           const PathExpression& path, const Value& value,
-                          const ParallelOptions& parallel = {},
                           const EpsilonHooks& hooks = {});
 
 /// P(some object at the end of `condition.path` satisfies the condition)
@@ -76,7 +67,6 @@ Result<double> ValueQuery(const ProbabilisticInstance& instance,
 /// selection (Def 5.6).
 Result<double> ConditionProbability(const ProbabilisticInstance& instance,
                                     const SelectionCondition& condition,
-                                    const ParallelOptions& parallel = {},
                                     const EpsilonHooks& hooks = {});
 
 /// The probability of a simple object chain r.o_1...o_k (Section 6.2's

@@ -180,7 +180,7 @@ bool ThreadPool::Steal(std::size_t thief, Task* task) {
 
 void ThreadPool::RunTask(Task& task) {
   // Executing a tagged task makes its batch the ambient batch for any
-  // submissions the task itself performs (nested ParallelFor levels),
+  // submissions the task itself performs (nested task groups),
   // so a whole batch's task tree shares one BatchMetrics without the
   // batch pointer threading through every user-level callback.
   BatchMetricsScope scope(task.batch);
@@ -321,43 +321,6 @@ void TaskGroup::Wait() {
     std::lock_guard<std::mutex> lk(mu_);
     error = error_;
     error_ = nullptr;
-  }
-  if (error != nullptr) std::rethrow_exception(error);
-}
-
-void ParallelFor(ThreadPool* pool, std::size_t n, std::size_t grain,
-                 const std::function<void(std::size_t, std::size_t)>& body) {
-  grain = std::max<std::size_t>(1, grain);
-  if (n == 0) return;
-  if (pool == nullptr || n <= grain) {
-    body(0, n);
-    return;
-  }
-  const std::size_t num_chunks = (n + grain - 1) / grain;
-  std::atomic<std::size_t> next{0};
-  auto work = [&next, num_chunks, grain, n, &body] {
-    while (true) {
-      const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) return;
-      body(c * grain, std::min(n, (c + 1) * grain));
-    }
-  };
-  TaskGroup group(pool);
-  const std::size_t helpers =
-      std::min(pool->num_threads(), num_chunks - 1);
-  for (std::size_t i = 0; i < helpers; ++i) group.Run(work);
-  // The caller claims chunks too; contain its exceptions so Wait() always
-  // runs (helpers reference this frame's state until then).
-  std::exception_ptr error;
-  try {
-    work();
-  } catch (...) {
-    error = std::current_exception();
-  }
-  try {
-    group.Wait();
-  } catch (...) {
-    if (error == nullptr) error = std::current_exception();
   }
   if (error != nullptr) std::rethrow_exception(error);
 }

@@ -93,8 +93,8 @@ class ThreadPool {
   };
 
   /// Tags all tasks submitted by the current thread (and, transitively,
-  /// by pool workers while running those tasks — nested ParallelFor
-  /// submissions inherit the tag of the task that spawned them) with a
+  /// by pool workers while running those tasks — nested submissions
+  /// inherit the tag of the task that spawned them) with a
   /// BatchMetrics. RAII: restores the previous tag on destruction, so
   /// scopes nest. The scope is thread-local state, not pool state — it
   /// is valid to hold scopes for different batches on different threads
@@ -231,30 +231,6 @@ class TaskGroup {
   std::condition_variable cv_;
   std::exception_ptr error_;  // guarded by mu_; first failure wins
 };
-
-/// Tuning knobs threaded through the parallel evaluation paths. The
-/// default (no pool) is the serial path, bit-identical to the historical
-/// implementation; with a pool, levels at least `min_parallel_width` wide
-/// are partitioned across workers. Results are deterministic either way —
-/// every object's value is accumulated sequentially from its already-
-/// finalized children, so scheduling cannot reorder any floating-point
-/// sum.
-struct ParallelOptions {
-  ThreadPool* pool = nullptr;
-  /// Frontier width below which a level runs serially on the calling
-  /// thread (partitioning overhead would dominate). The root merge is
-  /// always sequential (width 1).
-  std::size_t min_parallel_width = 32;
-};
-
-/// Splits [0, n) into contiguous chunks of at most `grain` indices and
-/// runs `body(begin, end)` over them on the pool, the calling thread
-/// included (the caller claims chunks too, so progress never depends on
-/// worker availability). Chunk order is unspecified: bodies must write
-/// disjoint state. Runs serially when `pool` is null or n <= grain.
-/// Exceptions from `body` propagate to the caller.
-void ParallelFor(ThreadPool* pool, std::size_t n, std::size_t grain,
-                 const std::function<void(std::size_t, std::size_t)>& body);
 
 }  // namespace pxml
 

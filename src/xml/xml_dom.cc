@@ -1,7 +1,9 @@
 #include "xml/xml_dom.h"
 
+#include <cmath>
 #include <cstdlib>
 
+#include "prob/distribution.h"
 #include "util/strings.h"
 
 namespace pxml {
@@ -49,7 +51,7 @@ class XmlParser {
 
   Result<XmlNode> ParseDocument() {
     SkipWhitespace();
-    PXML_ASSIGN_OR_RETURN(XmlNode root, ParseElement());
+    PXML_ASSIGN_OR_RETURN(XmlNode root, ParseElement(1));
     SkipWhitespace();
     if (pos_ != text_.size()) {
       return Fail("trailing content after the document element");
@@ -94,7 +96,14 @@ class XmlParser {
     return std::string(text_.substr(start, pos_ - start));
   }
 
-  Result<XmlNode> ParseElement() {
+  /// Parses the element at nesting level `depth` (the document element
+  /// is level 1). Recursion is one frame per level, so the cap keeps a
+  /// hostile document from exhausting the stack.
+  Result<XmlNode> ParseElement(std::size_t depth) {
+    if (depth > kMaxXmlDepth) {
+      return Fail(StrCat("elements nested deeper than ", kMaxXmlDepth,
+                         " levels"));
+    }
     if (!Eat('<')) return Fail("expected '<'");
     XmlNode node;
     node.name = ParseName();
@@ -135,7 +144,7 @@ class XmlParser {
         if (!Eat('>')) return Fail("expected '>'");
         return node;
       }
-      PXML_ASSIGN_OR_RETURN(XmlNode child, ParseElement());
+      PXML_ASSIGN_OR_RETURN(XmlNode child, ParseElement(depth + 1));
       node.children.push_back(std::move(child));
     }
   }
@@ -189,6 +198,11 @@ Result<double> ParseDoubleAttr(const XmlNode& node, std::string_view key) {
   double v = std::strtod(p->c_str(), &end);
   if (end == p->c_str()) {
     return Status::ParseError(StrCat("bad number '", *p, "'"));
+  }
+  if (!std::isfinite(v) || v < -kProbEps || v > 1.0 + kProbEps) {
+    return Status::ParseError(StrCat("<", node.name, "> attribute '", key,
+                                     "' = '", *p,
+                                     "' is not a probability in [0, 1]"));
   }
   return v;
 }

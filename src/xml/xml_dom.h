@@ -4,6 +4,7 @@
 // Internal minimal XML DOM shared by the PXML and IPXML readers. Not part
 // of the public API (namespace xml_internal).
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,7 +27,12 @@ struct XmlNode {
   const std::string* Attr(std::string_view key) const;
 };
 
+/// Deepest element nesting ParseXmlDocument accepts (the document
+/// element is level 1). PXML and IPXML documents nest about 4 deep.
+inline constexpr std::size_t kMaxXmlDepth = 64;
+
 /// Parses a whole document (one root element, no prolog/comments).
+/// Nesting deeper than kMaxXmlDepth is a ParseError.
 Result<XmlNode> ParseXmlDocument(std::string_view text);
 
 /// Reverses XmlEscape.
@@ -36,7 +42,8 @@ std::string XmlUnescape(std::string_view text);
 /// (s/i/d/b) and the value in the text content.
 Result<Value> ParseTypedValue(const XmlNode& node);
 
-/// Parses a double attribute; fails if absent or malformed.
+/// Parses a probability attribute (`p`, `lo`, `hi`); fails if absent,
+/// malformed, non-finite, or outside [−kProbEps, 1 + kProbEps].
 Result<double> ParseDoubleAttr(const XmlNode& node, std::string_view key);
 
 /// Whitespace-separated object names in an element's text, resolved

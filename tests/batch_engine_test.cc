@@ -1,6 +1,6 @@
 // Thread pool and parallel batch engine tests: work-stealing pool
-// semantics (drain-on-shutdown, exception propagation, parallel-for
-// coverage), the many-queries/one-instance concurrency hammer, and
+// semantics (drain-on-shutdown, exception propagation), the
+// many-queries/one-instance concurrency hammer, and
 // scheduling-independence of batch results. The whole binary is expected
 // to be clean under TSAN (-DPXML_SANITIZE=thread).
 #include <gtest/gtest.h>
@@ -156,41 +156,6 @@ TEST(TaskGroupTest, InlineWithoutPoolPropagatesException) {
   EXPECT_THROW(group.Wait(), std::logic_error);
 }
 
-TEST(ParallelForTest, CoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> marks(10007);
-  for (auto& m : marks) m.store(0);
-  ParallelFor(&pool, marks.size(), 64, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) marks[i].fetch_add(1);
-  });
-  for (std::size_t i = 0; i < marks.size(); ++i) {
-    ASSERT_EQ(marks[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ParallelForTest, NestedInsidePoolTasksCompletes) {
-  ThreadPool pool(4);
-  std::atomic<int> total{0};
-  TaskGroup group(&pool);
-  for (int t = 0; t < 8; ++t) {
-    group.Run([&pool, &total] {
-      ParallelFor(&pool, 100, 5, [&](std::size_t b, std::size_t e) {
-        total.fetch_add(static_cast<int>(e - b));
-      });
-    });
-  }
-  group.Wait();
-  EXPECT_EQ(total.load(), 800);
-}
-
-TEST(ParallelForTest, SerialWhenPoolIsNull) {
-  std::vector<int> marks(100, 0);
-  ParallelFor(nullptr, marks.size(), 8, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) ++marks[i];
-  });
-  for (int m : marks) EXPECT_EQ(m, 1);
-}
-
 // ---------------------------------------------------------------------------
 // Batch engine
 
@@ -274,7 +239,7 @@ class BatchEngineTest : public ::testing::Test {
 
 TEST_F(BatchEngineTest, ManyQueriesOneInstanceHammer) {
   // 1000+ mixed queries hammering one shared const instance from many
-  // workers, with intra-query partitioning forced on (width 1).
+  // workers.
   const ProbabilisticInstance inst = MakeWorkloadInstance();
   const std::vector<BatchQuery> queries = MakeQueries(inst, 1200);
 
@@ -287,7 +252,6 @@ TEST_F(BatchEngineTest, ManyQueriesOneInstanceHammer) {
   for (std::size_t threads : {4u, 8u}) {
     BatchOptions opts;
     opts.threads = threads;
-    opts.min_parallel_width = 1;
     QueryEngine engine(inst, Generic(opts));
     BatchStats stats;
     auto answers = engine.Run(queries, {}, &stats);
@@ -308,7 +272,6 @@ TEST_F(BatchEngineTest, ResultsIndependentOfScheduling) {
 
   BatchOptions opts;
   opts.threads = 4;
-  opts.min_parallel_width = 1;
   QueryEngine engine(inst, Generic(opts));
   auto first = engine.Run(queries);
   ASSERT_TRUE(first.ok());
@@ -356,7 +319,6 @@ TEST_F(BatchEngineTest, MatchesDirectSerialOperators) {
   }
   BatchOptions opts;
   opts.threads = 4;
-  opts.min_parallel_width = 1;
   QueryEngine engine(inst, Generic(opts));
   auto answers = engine.Run(queries);
   ASSERT_TRUE(answers.ok());
@@ -398,9 +360,8 @@ TEST_F(BatchEngineTest, QueueDepthIsScopedPerBatch) {
   const ProbabilisticInstance inst = MakeWorkloadInstance();
   BatchOptions opts;
   opts.threads = 2;
-  // Keep intra-query passes serial so task counts are exactly one per
-  // query and the single-query batch can only ever reach depth 1.
-  opts.min_parallel_width = 1000000;
+  // Task counts are exactly one per query, so the single-query batch can
+  // only ever reach depth 1.
   QueryEngine engine(inst, Generic(opts));
 
   BatchStats big;

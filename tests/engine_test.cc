@@ -174,7 +174,6 @@ TEST(QueryEngineTest, CachedAnswersBitIdenticalToUncachedAcrossThreads) {
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
     BatchOptions opts;
     opts.threads = threads;
-    opts.min_parallel_width = 1;
     QueryEngine engine(inst, opts);  // owning copy, default options
     // Run the batch twice on one engine: both runs must match the
     // generic serial answers.
@@ -399,7 +398,6 @@ TEST(QueryEngineTest, RandomizedInterleavingsMatchUncachedAndWorldsOracle) {
         MakeUniformTree(depth, branching, 0x5EED);
     BatchOptions opts;
     opts.threads = threads;
-    opts.min_parallel_width = 1;
     QueryEngine engine(inst, opts);
     Rng mrng(0xA0);  // mutation stream
     Rng qrng(0xB0);  // query stream
@@ -537,7 +535,6 @@ TEST(QueryEngineTest, ConcurrentMutateAndQueryHammer) {
   const ProbabilisticInstance inst = MakeUniformTree(4, 3, 0x99);
   BatchOptions opts;
   opts.threads = 4;
-  opts.min_parallel_width = 1;
   QueryEngine engine(inst, opts);
   const PathExpression path = FullDepthPath(inst, 4);
   const std::vector<BatchQuery> queries = {

@@ -1,8 +1,8 @@
 // Frozen-kernel equivalence properties (DESIGN.md §9): the compiled
 // FrozenInstance kernels must be indistinguishable from the generic
 // interpreter —
-//   * bit-identical ε for explicit and independent OPFs, at every thread
-//     count (the kernels replay the same sequential accumulations);
+//   * bit-identical ε for explicit and independent OPFs (the kernels
+//     replay the same sequential accumulations);
 //   * within 1e-12 for per-label products (the factored Σ_l 2^{b_l}
 //     recurrence associates multiplications differently);
 //   * cross-checked against the possible-worlds oracle on small
@@ -13,6 +13,7 @@
 //     path silently falls back to the generic interpreter, the
 //     QueryEngine refreezes transparently, and an open MutationGuard
 //     yields kStale — stale answers are impossible by construction;
+//   * a Refreeze answers bit for bit like a fresh Freeze;
 //   * the per-label counter wins hold (≥10× fewer per-row OPF ops,
 //     zero materialized entries, zero warm-re-query allocations).
 #include <gtest/gtest.h>
@@ -28,7 +29,6 @@
 #include "query/frozen.h"
 #include "query/point_queries.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "workload/generator.h"
 #include "workload/query_generator.h"
 #include "world_testing.h"
@@ -58,34 +58,25 @@ Result<ProbabilisticInstance> Generate(OpfStyle style, std::uint32_t depth,
   return GenerateBalancedTree(config);
 }
 
-/// Runs an exists query through the frozen kernels at a given thread
-/// count (min_parallel_width lowered so the partitioned passes engage
-/// even on small layers) and asserts the pass actually took the frozen
-/// path with no row materialization.
+/// Runs an exists query through the frozen kernels and asserts the pass
+/// actually took the frozen path with no row materialization.
 double FrozenExists(const ProbabilisticInstance& inst,
                     const FrozenInstance& frozen, const PathExpression& path,
-                    std::size_t threads, EpsilonScratch* scratch) {
-  std::unique_ptr<ThreadPool> pool;
-  ParallelOptions parallel;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-    parallel.pool = pool.get();
-    parallel.min_parallel_width = 2;
-  }
+                    EpsilonScratch* scratch) {
   EpsilonStats stats;
   EpsilonHooks hooks;
   hooks.stats = &stats;
   hooks.frozen = &frozen;
   hooks.scratch = scratch;
-  auto p = ExistsQuery(inst, path, parallel, hooks);
+  auto p = ExistsQuery(inst, path, hooks);
   EXPECT_TRUE(p.ok()) << p.status();
-  EXPECT_EQ(stats.frozen_passes.load(), 1u);
-  EXPECT_EQ(stats.entries_materialized.load(), 0u);
+  EXPECT_EQ(stats.frozen_passes, 1u);
+  EXPECT_EQ(stats.entries_materialized, 0u);
   return p.ok() ? *p : -1.0;
 }
 
 // ---------------------------------------------------------------------------
-// ε equivalence across representations and thread counts
+// ε equivalence across representations
 
 TEST(FrozenKernelTest, EpsilonBitIdenticalForExplicitAndIndependent) {
   for (OpfStyle style : {OpfStyle::kExplicitTable, OpfStyle::kIndependent}) {
@@ -104,16 +95,12 @@ TEST(FrozenKernelTest, EpsilonBitIdenticalForExplicitAndIndependent) {
         ASSERT_TRUE(path.ok()) << path.status();
         auto generic = ExistsQuery(inst, *path);
         ASSERT_TRUE(generic.ok()) << generic.status();
-        for (std::size_t threads : {1, 2, 4, 8}) {
-          const double got =
-              FrozenExists(inst, *frozen, *path, threads, &scratch);
-          // Bit-identical: the explicit kernel replays the same rows in
-          // the same order; the independent kernel the same (child, p)
-          // accumulation.
-          EXPECT_EQ(got, *generic)
-              << "style=" << static_cast<int>(style) << " seed=" << seed
-              << " threads=" << threads;
-        }
+        const double got = FrozenExists(inst, *frozen, *path, &scratch);
+        // Bit-identical: the explicit kernel replays the same rows in the
+        // same order; the independent kernel the same (child, p)
+        // accumulation.
+        EXPECT_EQ(got, *generic)
+            << "style=" << static_cast<int>(style) << " seed=" << seed;
       }
     }
   }
@@ -137,67 +124,75 @@ TEST(FrozenKernelTest, EpsilonPerLabelWithinToleranceAndMatchesWorlds) {
     auto oracle = ExistsQueryViaWorlds(inst, *path);
     ASSERT_TRUE(oracle.ok()) << oracle.status();
     EXPECT_NEAR(*generic, *oracle, 1e-9);
-    for (std::size_t threads : {1, 2, 4, 8}) {
-      const double got = FrozenExists(inst, *frozen, *path, threads, &scratch);
-      // The factored per-label recurrence associates differently:
-      // documented 1e-12 agreement, not bit identity.
-      EXPECT_NEAR(got, *generic, 1e-12) << "threads=" << threads;
-    }
+    const double got = FrozenExists(inst, *frozen, *path, &scratch);
+    // The factored per-label recurrence associates differently:
+    // documented 1e-12 agreement, not bit identity.
+    EXPECT_NEAR(got, *generic, 1e-12);
   }
 }
 
-TEST(FrozenKernelTest, MixedRepresentationInstanceMatchesWorlds) {
-  // One tree exercising all three kernels at once:
-  //   root --a--> c1, c2          (explicit table)
-  //   c1   --b--> g1, g2          (independent)
-  //   c2   --b--> g3, --x--> g4   (per-label product; x is off-path)
+/// One tree exercising all three kernels at once:
+///   root --a--> c1, c2          (explicit table)
+///   c1   --b--> g1, g2          (independent)
+///   c2   --b--> g3, --x--> g4   (per-label product; x is off-path)
+ProbabilisticInstance BuildMixedInstance() {
   ProbabilisticInstance built;
   WeakInstance& weak = built.weak();
   const LabelId a = weak.dict().InternLabel("a");
   const LabelId b = weak.dict().InternLabel("b");
   const LabelId x = weak.dict().InternLabel("x");
   const ObjectId root = weak.AddObject("root");
-  ASSERT_TRUE(weak.SetRoot(root).ok());
+  EXPECT_TRUE(weak.SetRoot(root).ok());
   const ObjectId c1 = weak.AddObject("c1");
   const ObjectId c2 = weak.AddObject("c2");
   const ObjectId g1 = weak.AddObject("g1");
   const ObjectId g2 = weak.AddObject("g2");
   const ObjectId g3 = weak.AddObject("g3");
   const ObjectId g4 = weak.AddObject("g4");
-  ASSERT_TRUE(weak.AddPotentialChild(root, a, c1).ok());
-  ASSERT_TRUE(weak.AddPotentialChild(root, a, c2).ok());
-  ASSERT_TRUE(weak.AddPotentialChild(c1, b, g1).ok());
-  ASSERT_TRUE(weak.AddPotentialChild(c1, b, g2).ok());
-  ASSERT_TRUE(weak.AddPotentialChild(c2, b, g3).ok());
-  ASSERT_TRUE(weak.AddPotentialChild(c2, x, g4).ok());
+  EXPECT_TRUE(weak.AddPotentialChild(root, a, c1).ok());
+  EXPECT_TRUE(weak.AddPotentialChild(root, a, c2).ok());
+  EXPECT_TRUE(weak.AddPotentialChild(c1, b, g1).ok());
+  EXPECT_TRUE(weak.AddPotentialChild(c1, b, g2).ok());
+  EXPECT_TRUE(weak.AddPotentialChild(c2, b, g3).ok());
+  EXPECT_TRUE(weak.AddPotentialChild(c2, x, g4).ok());
 
   std::vector<OpfEntry> rows;
   rows.push_back({IdSet{}, 0.1});
   rows.push_back({IdSet{c1}, 0.2});
   rows.push_back({IdSet{c2}, 0.3});
   rows.push_back({IdSet{c1, c2}, 0.4});
-  ASSERT_TRUE(built.SetOpf(root, std::make_unique<ExplicitOpf>(
+  EXPECT_TRUE(built.SetOpf(root, std::make_unique<ExplicitOpf>(
                                      ExplicitOpf::FromEntries(std::move(rows))))
                   .ok());
   auto ind = std::make_unique<IndependentOpf>();
-  ASSERT_TRUE(ind->AddChild(g1, 0.7).ok());
-  ASSERT_TRUE(ind->AddChild(g2, 0.4).ok());
-  ASSERT_TRUE(built.SetOpf(c1, std::move(ind)).ok());
+  EXPECT_TRUE(ind->AddChild(g1, 0.7).ok());
+  EXPECT_TRUE(ind->AddChild(g2, 0.4).ok());
+  EXPECT_TRUE(built.SetOpf(c1, std::move(ind)).ok());
   auto per = std::make_unique<PerLabelProductOpf>();
-  ASSERT_TRUE(per->AddLabelFactor(
+  EXPECT_TRUE(per->AddLabelFactor(
                      b, ExplicitOpf::FromEntries(
                             {{IdSet{}, 0.35}, {IdSet{g3}, 0.65}}))
                   .ok());
-  ASSERT_TRUE(per->AddLabelFactor(
+  EXPECT_TRUE(per->AddLabelFactor(
                      x, ExplicitOpf::FromEntries(
                             {{IdSet{}, 0.2}, {IdSet{g4}, 0.8}}))
                   .ok());
-  ASSERT_TRUE(built.SetOpf(c2, std::move(per)).ok());
+  EXPECT_TRUE(built.SetOpf(c2, std::move(per)).ok());
+  return built;
+}
 
-  const ProbabilisticInstance& inst = built;  // const view from here on
+/// root.a.b over BuildMixedInstance's tree.
+PathExpression MixedPath(const ProbabilisticInstance& inst) {
   PathExpression path;
-  path.start = root;
-  path.labels = {a, b};
+  path.start = inst.weak().root();
+  path.labels = {inst.weak().dict().FindLabel("a").value(),
+                 inst.weak().dict().FindLabel("b").value()};
+  return path;
+}
+
+TEST(FrozenKernelTest, MixedRepresentationInstanceMatchesWorlds) {
+  const ProbabilisticInstance inst = BuildMixedInstance();
+  const PathExpression path = MixedPath(inst);
 
   auto generic = ExistsQuery(inst, path);
   ASSERT_TRUE(generic.ok()) << generic.status();
@@ -208,10 +203,7 @@ TEST(FrozenKernelTest, MixedRepresentationInstanceMatchesWorlds) {
   auto frozen = FrozenInstance::Freeze(inst);
   ASSERT_TRUE(frozen.ok()) << frozen.status();
   EpsilonScratch scratch;
-  for (std::size_t threads : {1, 2, 4, 8}) {
-    const double got = FrozenExists(inst, *frozen, path, threads, &scratch);
-    EXPECT_NEAR(got, *generic, 1e-12) << "threads=" << threads;
-  }
+  EXPECT_NEAR(FrozenExists(inst, *frozen, path, &scratch), *generic, 1e-12);
 
   // The projection pass over the same mixed tree: both evaluators must
   // define the same projected distribution.
@@ -219,8 +211,7 @@ TEST(FrozenKernelTest, MixedRepresentationInstanceMatchesWorlds) {
   auto generic_proj = AncestorProject(inst, path, &generic_stats);
   ASSERT_TRUE(generic_proj.ok()) << generic_proj.status();
   ProjectionStats frozen_stats;
-  auto frozen_proj =
-      AncestorProject(inst, path, &frozen_stats, {}, &*frozen);
+  auto frozen_proj = AncestorProject(inst, path, &frozen_stats, &*frozen);
   ASSERT_TRUE(frozen_proj.ok()) << frozen_proj.status();
   EXPECT_EQ(frozen_stats.frozen_passes, 1u);
   EXPECT_EQ(frozen_stats.entries_materialized, 0u);
@@ -249,7 +240,7 @@ TEST(FrozenKernelTest, ProjectionMatchesGenericAcrossRepresentations) {
     auto generic_proj = AncestorProject(inst, *path);
     ASSERT_TRUE(generic_proj.ok()) << generic_proj.status();
     ProjectionStats stats;
-    auto frozen_proj = AncestorProject(inst, *path, &stats, {}, &*frozen);
+    auto frozen_proj = AncestorProject(inst, *path, &stats, &*frozen);
     ASSERT_TRUE(frozen_proj.ok()) << frozen_proj.status();
     EXPECT_EQ(stats.frozen_passes, 1u);
     EXPECT_EQ(stats.entries_materialized, 0u);
@@ -289,7 +280,7 @@ TEST(FrozenKernelTest, StaleSnapshotFallsBackToGeneric) {
   EXPECT_TRUE(frozen->InSyncWith(cinst));
 
   EpsilonScratch scratch;
-  const double before = FrozenExists(cinst, *frozen, *path, 1, &scratch);
+  const double before = FrozenExists(cinst, *frozen, *path, &scratch);
   auto before_generic = ExistsQuery(cinst, *path);
   ASSERT_TRUE(before_generic.ok());
   EXPECT_EQ(before, *before_generic);
@@ -311,24 +302,57 @@ TEST(FrozenKernelTest, StaleSnapshotFallsBackToGeneric) {
   hooks.stats = &stats;
   hooks.frozen = &*frozen;
   hooks.scratch = &scratch;
-  auto got = ExistsQuery(cinst, *path, {}, hooks);
+  auto got = ExistsQuery(cinst, *path, hooks);
   ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_EQ(stats.frozen_passes.load(), 0u);
+  EXPECT_EQ(stats.frozen_passes, 0u);
   auto fresh = ExistsQuery(cinst, *path);
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(*got, *fresh);
 
   // A stale snapshot handed to the projection pass is equally ignored.
   ProjectionStats proj_stats;
-  auto proj = AncestorProject(cinst, *path, &proj_stats, {}, &*frozen);
+  auto proj = AncestorProject(cinst, *path, &proj_stats, &*frozen);
   ASSERT_TRUE(proj.ok()) << proj.status();
   EXPECT_EQ(proj_stats.frozen_passes, 0u);
 
   // Refreezing restores the fast path, with the post-mutation answer.
   auto refrozen = FrozenInstance::Freeze(cinst);
   ASSERT_TRUE(refrozen.ok()) << refrozen.status();
-  const double after = FrozenExists(cinst, *refrozen, *path, 1, &scratch);
+  const double after = FrozenExists(cinst, *refrozen, *path, &scratch);
   EXPECT_EQ(after, *fresh);
+}
+
+TEST(FrozenKernelTest, RefreezeAnswersLikeFreeze) {
+  ProbabilisticInstance built = BuildMixedInstance();
+  const ProbabilisticInstance& inst = built;
+  auto frozen = FrozenInstance::Freeze(inst);
+  ASSERT_TRUE(frozen.ok()) << frozen.status();
+
+  // ℘-only mutation: swap c1's independent OPF for one with different
+  // probabilities. The structure is untouched, so Refreeze carries the
+  // clean kernels forward and recompiles the dirty spine.
+  const Dictionary& dict = inst.weak().dict();
+  const ObjectId c1 = dict.FindObject("c1").value();
+  auto ind = std::make_unique<IndependentOpf>();
+  ASSERT_TRUE(ind->AddChild(dict.FindObject("g1").value(), 0.25).ok());
+  ASSERT_TRUE(ind->AddChild(dict.FindObject("g2").value(), 0.9).ok());
+  ASSERT_TRUE(built.SetOpf(c1, std::move(ind)).ok());
+
+  auto refrozen = FrozenInstance::Refreeze(*frozen, inst);
+  ASSERT_TRUE(refrozen.ok()) << refrozen.status();
+  auto fresh = FrozenInstance::Freeze(inst);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+
+  // The refrozen snapshot answers bit for bit like a from-scratch Freeze
+  // of the mutated instance, and like the generic interpreter to 1e-12.
+  const PathExpression path = MixedPath(inst);
+  auto generic = ExistsQuery(inst, path);
+  ASSERT_TRUE(generic.ok()) << generic.status();
+  EpsilonScratch scratch;
+  const double via_refreeze = FrozenExists(inst, *refrozen, path, &scratch);
+  const double via_fresh = FrozenExists(inst, *fresh, path, &scratch);
+  EXPECT_EQ(via_refreeze, via_fresh);
+  EXPECT_NEAR(via_refreeze, *generic, 1e-12);
 }
 
 TEST(FrozenKernelTest, EngineRefreezesTransparentlyAfterMutation) {
@@ -459,7 +483,7 @@ TEST(FrozenKernelTest, PerLabelCountersShowTenfoldWinAndWarmReuse) {
   EpsilonStats generic_eps;
   EpsilonHooks generic_hooks;
   generic_hooks.stats = &generic_eps;
-  auto generic_p = ExistsQuery(inst, *path, {}, generic_hooks);
+  auto generic_p = ExistsQuery(inst, *path, generic_hooks);
   ASSERT_TRUE(generic_p.ok()) << generic_p.status();
 
   EpsilonScratch scratch;
@@ -468,28 +492,28 @@ TEST(FrozenKernelTest, PerLabelCountersShowTenfoldWinAndWarmReuse) {
   hooks.scratch = &scratch;
   EpsilonStats cold_eps;
   hooks.stats = &cold_eps;
-  ASSERT_TRUE(ExistsQuery(inst, *path, {}, hooks).ok());
+  ASSERT_TRUE(ExistsQuery(inst, *path, hooks).ok());
   EpsilonStats warm_eps;
   hooks.stats = &warm_eps;
-  auto frozen_p = ExistsQuery(inst, *path, {}, hooks);
+  auto frozen_p = ExistsQuery(inst, *path, hooks);
   ASSERT_TRUE(frozen_p.ok()) << frozen_p.status();
 
   EXPECT_NEAR(*frozen_p, *generic_p, 1e-12);
-  EXPECT_EQ(warm_eps.frozen_passes.load(), 1u);
-  EXPECT_EQ(warm_eps.entries_materialized.load(), 0u);
-  EXPECT_EQ(warm_eps.bytes_allocated.load(), 0u);
-  EXPECT_GE(generic_eps.opf_row_ops.load(),
-            10 * warm_eps.opf_row_ops.load());
+  EXPECT_EQ(warm_eps.frozen_passes, 1u);
+  EXPECT_EQ(warm_eps.entries_materialized, 0u);
+  EXPECT_EQ(warm_eps.bytes_allocated, 0u);
+  EXPECT_GE(generic_eps.opf_row_ops,
+            10 * warm_eps.opf_row_ops);
 
   // Marginalization: same discipline; the per-object buffers live in
   // thread-local storage, so the warm re-run allocates nothing either.
   ProjectionStats generic_proj;
   ASSERT_TRUE(AncestorProject(inst, *path, &generic_proj).ok());
   ProjectionStats cold_proj;
-  ASSERT_TRUE(AncestorProject(inst, *path, &cold_proj, {}, &*frozen).ok());
+  ASSERT_TRUE(AncestorProject(inst, *path, &cold_proj, &*frozen).ok());
   ProjectionStats warm_proj;
   auto frozen_result =
-      AncestorProject(inst, *path, &warm_proj, {}, &*frozen);
+      AncestorProject(inst, *path, &warm_proj, &*frozen);
   ASSERT_TRUE(frozen_result.ok()) << frozen_result.status();
 
   EXPECT_EQ(warm_proj.frozen_passes, 1u);

@@ -178,7 +178,6 @@ void RunStress(std::size_t reader_threads, std::size_t engine_threads) {
 
   BatchOptions opts;
   opts.threads = engine_threads;
-  opts.min_parallel_width = 1;
   QueryEngine engine(initial, opts);
 
   const PathExpression path = FullDepthPath(initial, 3);
@@ -281,7 +280,6 @@ TEST(MvccStressTest, EpochAnswersMatchWorldsOracle) {
 
   BatchOptions opts;
   opts.threads = 2;
-  opts.min_parallel_width = 1;
   QueryEngine engine(initial, opts);
 
   for (std::size_t prefix = 0; prefix <= log.size(); ++prefix) {

@@ -436,7 +436,6 @@ TEST(ObsEngineTest, TracingNeverChangesAnswersAcrossThreadCounts) {
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
     BatchOptions opts;
     opts.threads = threads;
-    opts.min_parallel_width = 1;
 
     QueryEngine untraced(inst, opts);
     auto plain = untraced.Run(queries);

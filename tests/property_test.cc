@@ -194,7 +194,6 @@ TEST_P(RandomTreeTest, BatchEngineMatchesSerialAndOracle) {
   for (std::size_t threads : {2u, 4u, 8u}) {
     BatchOptions options;
     options.threads = threads;
-    options.min_parallel_width = 1;  // engage intra-query splits on tiny trees
     QueryEngine engine(inst, Generic(options));
     for (int repeat = 0; repeat < 2; ++repeat) {
       auto answers = engine.Run(queries);

@@ -466,7 +466,6 @@ TEST(EngineRecorderTest, ObservabilityNeverChangesAnswersAcrossThreadCounts) {
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
     BatchOptions off_opts;
     off_opts.threads = threads;
-    off_opts.min_parallel_width = 1;
     off_opts.flight_recorder_capacity = 0;
     off_opts.slow_query_ns = 0;
     QueryEngine off_engine(inst, off_opts);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "core/semantics.h"
 #include "core/validation.h"
@@ -8,6 +9,7 @@
 #include "protdb/conversion.h"
 #include "protdb/protdb.h"
 #include "world_testing.h"
+#include "xml/interval_io.h"
 #include "xml/parser.h"
 #include "xml/writer.h"
 
@@ -142,6 +144,33 @@ TEST(XmlTest, ParseErrorsAreDiagnosed) {
   EXPECT_EQ(
       ParsePxml("<pxml root=\"q\"><object id=\"r\"/></pxml>").status().code(),
       StatusCode::kParseError);  // root not an object
+  // A row probability must be a finite number in [0, 1] (up to kProbEps).
+  auto with_row_prob = [](const std::string& p) {
+    return "<pxml root=\"r\"><object id=\"r\">"
+           "<lch label=\"a\" min=\"0\" max=\"1\">c</lch>"
+           "<opf rep=\"explicit\"><row p=\"0.5\"></row>"
+           "<row p=\"" + p + "\">c</row></opf></object>"
+           "<object id=\"c\"/></pxml>";
+  };
+  ASSERT_TRUE(ParsePxml(with_row_prob("0.5")).ok())
+      << ParsePxml(with_row_prob("0.5")).status();
+  for (const char* bad : {"nan", "inf", "-0.5", "1e300"}) {
+    EXPECT_EQ(ParsePxml(with_row_prob(bad)).status().code(),
+              StatusCode::kParseError)
+        << "p=" << bad;
+  }
+}
+
+TEST(XmlTest, DeeplyNestedInputIsAParseError) {
+  // Nesting far past anything PXML or IPXML uses must come back as a
+  // ParseError from both readers, not exhaust the stack.
+  constexpr std::size_t kDepth = 1000000;
+  std::string text;
+  text.reserve(kDepth * 7);
+  for (std::size_t i = 0; i < kDepth; ++i) text += "<a>";
+  for (std::size_t i = 0; i < kDepth; ++i) text += "</a>";
+  EXPECT_EQ(ParsePxml(text).status().code(), StatusCode::kParseError);
+  EXPECT_EQ(ParseIntervalPxml(text).status().code(), StatusCode::kParseError);
 }
 
 TEST(XmlTest, TruncatedDocumentsNeverCrash) {
