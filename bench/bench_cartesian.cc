@@ -21,7 +21,12 @@ namespace {
 using namespace pxml;  // NOLINT
 
 // Default seed 0 keeps the historical per-tree seeds (base + 1, base + 2).
-bench::BenchFlags g_flags{/*threads=*/1, /*seed=*/0};
+bench::BenchFlags g_flags = [] {
+  bench::BenchFlags flags;
+  flags.threads = 1;
+  flags.seed = 0;
+  return flags;
+}();
 
 ProbabilisticInstance MakeTree(std::uint32_t depth, std::uint32_t branching,
                                std::uint64_t seed) {

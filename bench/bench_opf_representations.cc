@@ -22,7 +22,12 @@ namespace {
 
 using namespace pxml;  // NOLINT
 
-bench::BenchFlags g_flags{/*threads=*/1, /*seed=*/5};
+bench::BenchFlags g_flags = [] {
+  bench::BenchFlags flags;
+  flags.threads = 1;
+  flags.seed = 5;
+  return flags;
+}();
 
 /// A one-level document with n children under two labels.
 ProtdbDocument MakeDoc(int n) {

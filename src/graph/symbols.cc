@@ -7,12 +7,11 @@
 namespace pxml {
 
 std::uint32_t SymbolTable::Intern(std::string_view name) {
-  auto it = index_.find(std::string(name));
-  if (it != index_.end()) return it->second;
-  std::uint32_t id = static_cast<std::uint32_t>(names_.size());
-  names_.emplace_back(name);
-  index_.emplace(names_.back(), id);
-  return id;
+  // One hash probe: insert the next id unless the name is already there.
+  auto [it, inserted] = index_.try_emplace(
+      std::string(name), static_cast<std::uint32_t>(names_.size()));
+  if (inserted) names_.emplace_back(name);
+  return it->second;
 }
 
 std::optional<std::uint32_t> SymbolTable::Find(std::string_view name) const {

@@ -1,263 +1,87 @@
 #include "xml/interval_io.h"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 #include "util/strings.h"
-#include "xml/writer.h"
-#include "xml/xml_dom.h"
+#include "xml/xml_text.h"
 
 namespace pxml {
 
-using xml_internal::ParseChildSet;
-using xml_internal::ParseDoubleAttr;
-using xml_internal::ParseTypedValue;
-using xml_internal::ParseXmlDocument;
-using xml_internal::XmlNode;
-
-namespace {
-
-char KindCode(Value::Kind kind) {
-  switch (kind) {
-    case Value::Kind::kString:
-      return 's';
-    case Value::Kind::kInt:
-      return 'i';
-    case Value::Kind::kDouble:
-      return 'd';
-    case Value::Kind::kBool:
-      return 'b';
-  }
-  return 's';
-}
-
-std::string FormatProb(double p) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", p);
-  return buf;
-}
-
-Result<IntervalProb> ParseIntervalAttrs(const XmlNode& node) {
-  PXML_ASSIGN_OR_RETURN(double lo, ParseDoubleAttr(node, "lo"));
-  PXML_ASSIGN_OR_RETURN(double hi, ParseDoubleAttr(node, "hi"));
-  return IntervalProb::Make(lo, hi);
-}
-
-}  // namespace
+using xml_internal::AppendDouble;
+using xml_internal::ReadProb;
+using xml_internal::XmlReader;
 
 std::string SerializeIntervalPxml(const IntervalInstance& instance) {
   const WeakInstance& weak = instance.weak();
   const Dictionary& dict = weak.dict();
-  std::ostringstream os;
-  os << "<ipxml root=\""
-     << (weak.HasRoot() ? XmlEscape(dict.ObjectName(weak.root()))
-                        : std::string())
-     << "\">\n";
-  std::vector<bool> used(dict.num_types(), false);
-  for (ObjectId o : weak.Objects()) {
-    auto t = weak.TypeOf(o);
-    if (t.has_value()) used[*t] = true;
-  }
-  os << " <types>\n";
-  for (TypeId t = 0; t < dict.num_types(); ++t) {
-    if (!used[t]) continue;
-    os << "  <type name=\"" << XmlEscape(dict.TypeName(t)) << "\">";
-    for (const Value& v : dict.TypeDomain(t)) {
-      os << "<val k=\"" << KindCode(v.kind()) << "\">"
-         << XmlEscape(v.ToString()) << "</val>";
-    }
-    os << "</type>\n";
-  }
-  os << " </types>\n";
-
-  for (ObjectId o : weak.Objects()) {
-    os << " <object id=\"" << XmlEscape(dict.ObjectName(o)) << '"';
-    auto type = weak.TypeOf(o);
-    if (type.has_value()) {
-      os << " type=\"" << XmlEscape(dict.TypeName(*type)) << '"';
-    }
-    os << ">\n";
-    for (LabelId l : weak.LabelsOf(o)) {
-      os << "  <lch label=\"" << XmlEscape(dict.LabelName(l)) << '"';
-      IntInterval card = weak.Card(o, l);
-      if (!card.IsUnconstrained()) {
-        os << " min=\"" << card.min() << "\"";
-        if (card.max() != IntInterval::kUnbounded) {
-          os << " max=\"" << card.max() << "\"";
-        }
-      }
-      os << '>';
-      bool first = true;
-      for (ObjectId c : weak.Lch(o, l)) {
-        if (!first) os << ' ';
-        first = false;
-        os << XmlEscape(dict.ObjectName(c));
-      }
-      os << "</lch>\n";
-    }
+  std::string out;
+  xml_internal::AppendDocument(out, weak, "ipxml", [&](ObjectId o) {
     if (const IntervalOpf* opf = instance.GetOpf(o)) {
-      os << "  <iopf>\n";
+      out += "  <iopf>\n";
       for (const IntervalOpf::Entry& e : opf->Entries()) {
-        os << "   <row lo=\"" << FormatProb(e.prob.lo()) << "\" hi=\""
-           << FormatProb(e.prob.hi()) << "\">";
-        bool first = true;
-        for (ObjectId c : e.child_set) {
-          if (!first) os << ' ';
-          first = false;
-          os << XmlEscape(dict.ObjectName(c));
-        }
-        os << "</row>\n";
+        AppendDouble(out, "   <row lo=\"", e.prob.lo(), "\" hi=\"");
+        AppendDouble(out, "", e.prob.hi(), "\">");
+        xml_internal::AppendNames(out, dict, e.child_set);
+        out += "</row>\n";
       }
-      os << "  </iopf>\n";
+      out += "  </iopf>\n";
     }
     if (const IntervalVpf* vpf = instance.GetVpf(o)) {
-      os << "  <ivpf>";
+      out += "  <ivpf>";
       for (const IntervalVpf::Entry& e : vpf->Entries()) {
-        os << "<val k=\"" << KindCode(e.value.kind()) << "\" lo=\""
-           << FormatProb(e.prob.lo()) << "\" hi=\""
-           << FormatProb(e.prob.hi()) << "\">"
-           << XmlEscape(e.value.ToString()) << "</val>";
+        xml_internal::AppendValueElement(
+            out, "val", e.value, {{"lo", e.prob.lo()}, {"hi", e.prob.hi()}});
       }
-      os << "</ivpf>\n";
+      out += "</ivpf>\n";
     }
-    os << " </object>\n";
-  }
-  os << "</ipxml>\n";
-  return os.str();
+  });
+  return out;
 }
 
 Status WriteIntervalPxmlFile(const IntervalInstance& instance,
                              const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IoError(StrCat("cannot open '", path, "' for writing"));
-  }
-  out << SerializeIntervalPxml(instance);
-  out.flush();
-  if (!out) {
-    return Status::IoError(StrCat("write to '", path, "' failed"));
-  }
-  return Status::Ok();
+  return xml_internal::WriteFileBytes(path, SerializeIntervalPxml(instance));
 }
 
 Result<IntervalInstance> ParseIntervalPxml(std::string_view text) {
-  PXML_ASSIGN_OR_RETURN(XmlNode doc, ParseXmlDocument(text));
-  if (doc.name != "ipxml") {
-    return Status::ParseError(
-        StrCat("expected <ipxml> document element, got <", doc.name, ">"));
-  }
   IntervalInstance out;
-  WeakInstance& weak = out.weak();
-  Dictionary& dict = weak.dict();
-
-  for (const XmlNode& section : doc.children) {
-    if (section.name != "types") continue;
-    for (const XmlNode& type : section.children) {
-      const std::string* name = type.Attr("name");
-      if (name == nullptr) {
-        return Status::ParseError("<type> needs a 'name' attribute");
-      }
-      std::vector<Value> domain;
-      for (const XmlNode& val : type.children) {
-        PXML_ASSIGN_OR_RETURN(Value v, ParseTypedValue(val));
-        domain.push_back(std::move(v));
-      }
-      PXML_RETURN_IF_ERROR(
-          dict.DefineType(*name, std::move(domain)).status());
+  xml_internal::StructureReader doc(text, out.weak());
+  XmlReader& r = doc.reader();
+  const auto bounds = [&r]() -> Result<IntervalProb> {
+    PXML_ASSIGN_OR_RETURN(double lo, ReadProb(r, "lo"));
+    PXML_ASSIGN_OR_RETURN(double hi, ReadProb(r, "hi"));
+    return IntervalProb::Make(lo, hi);
+  };
+  PXML_RETURN_IF_ERROR(doc.Read("ipxml", [&](ObjectId o) -> Status {
+    if (r.name() == "iopf") {
+      IntervalOpf opf;
+      PXML_RETURN_IF_ERROR(r.ForEachChild([&]() -> Status {
+        if (r.name() != "row") {
+          return r.Error(StrCat("unexpected <", r.name(), "> in <iopf>"));
+        }
+        PXML_ASSIGN_OR_RETURN(IntervalProb prob, bounds());
+        PXML_ASSIGN_OR_RETURN(IdSet c, doc.ReadChildSet());
+        opf.Set(std::move(c), prob);
+        return Status::Ok();
+      }));
+      return out.SetOpf(o, std::move(opf));
     }
-  }
-  for (const XmlNode& section : doc.children) {
-    if (section.name != "object") continue;
-    const std::string* id = section.Attr("id");
-    if (id == nullptr) {
-      return Status::ParseError("<object> needs an 'id' attribute");
+    if (r.name() == "ivpf") {
+      IntervalVpf vpf;
+      PXML_RETURN_IF_ERROR(r.ForEachChild([&]() -> Status {
+        PXML_ASSIGN_OR_RETURN(IntervalProb prob, bounds());
+        PXML_ASSIGN_OR_RETURN(Value v, xml_internal::ReadValue(r));
+        vpf.Set(std::move(v), prob);
+        return Status::Ok();
+      }));
+      return out.SetVpf(o, std::move(vpf));
     }
-    weak.AddObject(*id);
-  }
-  const std::string* root_name = doc.Attr("root");
-  if (root_name == nullptr) {
-    return Status::ParseError("<ipxml> needs a 'root' attribute");
-  }
-  auto root = dict.FindObject(*root_name);
-  if (!root.has_value()) {
-    return Status::ParseError(
-        StrCat("root '", *root_name, "' is not an <object>"));
-  }
-  PXML_RETURN_IF_ERROR(weak.SetRoot(*root));
-
-  for (const XmlNode& section : doc.children) {
-    if (section.name != "object") continue;
-    ObjectId o = *dict.FindObject(*section.Attr("id"));
-    for (const XmlNode& part : section.children) {
-      if (part.name == "lch") {
-        const std::string* label = part.Attr("label");
-        if (label == nullptr) {
-          return Status::ParseError("<lch> needs a 'label' attribute");
-        }
-        LabelId l = dict.InternLabel(*label);
-        PXML_ASSIGN_OR_RETURN(IdSet children, ParseChildSet(dict, part));
-        for (ObjectId c : children) {
-          PXML_RETURN_IF_ERROR(weak.AddPotentialChild(o, l, c));
-        }
-        const std::string* min = part.Attr("min");
-        const std::string* max = part.Attr("max");
-        if (min != nullptr || max != nullptr) {
-          std::uint32_t lo =
-              min != nullptr ? static_cast<std::uint32_t>(std::strtoul(
-                                   min->c_str(), nullptr, 10))
-                             : 0;
-          std::uint32_t hi =
-              max != nullptr ? static_cast<std::uint32_t>(std::strtoul(
-                                   max->c_str(), nullptr, 10))
-                             : IntInterval::kUnbounded;
-          PXML_RETURN_IF_ERROR(weak.SetCard(o, l, IntInterval(lo, hi)));
-        }
-      } else if (part.name == "iopf") {
-        IntervalOpf opf;
-        for (const XmlNode& row : part.children) {
-          if (row.name != "row") {
-            return Status::ParseError(
-                StrCat("unexpected <", row.name, "> in <iopf>"));
-          }
-          PXML_ASSIGN_OR_RETURN(IntervalProb prob, ParseIntervalAttrs(row));
-          PXML_ASSIGN_OR_RETURN(IdSet c, ParseChildSet(dict, row));
-          opf.Set(std::move(c), prob);
-        }
-        PXML_RETURN_IF_ERROR(out.SetOpf(o, std::move(opf)));
-      } else if (part.name == "ivpf") {
-        IntervalVpf vpf;
-        for (const XmlNode& val : part.children) {
-          PXML_ASSIGN_OR_RETURN(IntervalProb prob, ParseIntervalAttrs(val));
-          PXML_ASSIGN_OR_RETURN(Value v, ParseTypedValue(val));
-          vpf.Set(std::move(v), prob);
-        }
-        PXML_RETURN_IF_ERROR(out.SetVpf(o, std::move(vpf)));
-      } else {
-        return Status::ParseError(
-            StrCat("unexpected <", part.name, "> inside <object>"));
-      }
-    }
-    const std::string* type_name = section.Attr("type");
-    if (type_name != nullptr && !weak.TypeOf(o).has_value()) {
-      auto type = dict.FindType(*type_name);
-      if (!type.has_value()) {
-        return Status::ParseError(StrCat("unknown type '", *type_name, "'"));
-      }
-      PXML_RETURN_IF_ERROR(weak.SetLeafType(o, *type));
-    }
-  }
+    return r.Error(StrCat("unexpected <", r.name(), "> inside <object>"));
+  }));
   return out;
 }
 
 Result<IntervalInstance> ReadIntervalPxmlFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError(StrCat("cannot open '", path, "'"));
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseIntervalPxml(buffer.str());
+  PXML_ASSIGN_OR_RETURN(std::string text, xml_internal::ReadFileBytes(path));
+  return ParseIntervalPxml(text);
 }
 
 }  // namespace pxml

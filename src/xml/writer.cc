@@ -1,199 +1,77 @@
 #include "xml/writer.h"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
-#include "util/strings.h"
+#include "xml/xml_text.h"
 
 namespace pxml {
 
+using xml_internal::Append;
+using xml_internal::AppendDocument;
+using xml_internal::AppendDouble;
+using xml_internal::AppendEscaped;
+using xml_internal::AppendNames;
+using xml_internal::AppendValueElement;
+
 namespace {
 
-char KindCode(Value::Kind kind) {
-  switch (kind) {
-    case Value::Kind::kString:
-      return 's';
-    case Value::Kind::kInt:
-      return 'i';
-    case Value::Kind::kDouble:
-      return 'd';
-    case Value::Kind::kBool:
-      return 'b';
-  }
-  return 's';
-}
-
-std::string FormatProb(double p) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", p);
-  return buf;
-}
-
-std::string FormatDouble(double d) { return FormatProb(d); }
-
-/// <tag k="s" extra>payload</tag> for a Value.
-void WriteValueElement(std::ostream& os, const std::string& tag,
-                       const Value& v, const std::string& extra_attrs) {
-  os << '<' << tag << " k=\"" << KindCode(v.kind()) << '"' << extra_attrs
-     << '>';
-  if (v.is_double()) {
-    os << FormatDouble(v.AsDouble());
-  } else {
-    os << XmlEscape(v.ToString());
-  }
-  os << "</" << tag << '>';
-}
-
-void WriteExplicitRows(std::ostream& os, const Dictionary& dict,
-                       const ExplicitOpf& opf) {
-  for (const OpfEntry& e : opf.Entries()) {
-    os << "   <row p=\"" << FormatProb(e.prob) << "\">";
-    bool first = true;
-    for (ObjectId c : e.child_set) {
-      if (!first) os << ' ';
-      first = false;
-      os << XmlEscape(dict.ObjectName(c));
-    }
-    os << "</row>\n";
+void AppendRows(std::string& out, const Dictionary& dict,
+                const std::vector<OpfEntry>& rows) {
+  for (const OpfEntry& e : rows) {
+    AppendDouble(out, "   <row p=\"", e.prob, "\">");
+    AppendNames(out, dict, e.child_set);
+    out += "</row>\n";
   }
 }
 
-void WriteOpf(std::ostream& os, const Dictionary& dict, const Opf& opf) {
-  os << "  <opf rep=\"" << opf.RepresentationName() << "\">\n";
+void AppendOpf(std::string& out, const Dictionary& dict, const Opf& opf) {
+  Append(out, "  <opf rep=\"", opf.RepresentationName(), "\">\n");
   if (const auto* exp = dynamic_cast<const ExplicitOpf*>(&opf)) {
-    WriteExplicitRows(os, dict, *exp);
+    AppendRows(out, dict, exp->rows());
   } else if (const auto* ind = dynamic_cast<const IndependentOpf*>(&opf)) {
     for (const auto& [child, p] : ind->children()) {
-      os << "   <child p=\"" << FormatProb(p) << "\">"
-         << XmlEscape(dict.ObjectName(child)) << "</child>\n";
+      AppendDouble(out, "   <child p=\"", p, "\">");
+      AppendEscaped(out, "", dict.ObjectName(child), "</child>\n");
     }
   } else if (const auto* pl =
                  dynamic_cast<const PerLabelProductOpf*>(&opf)) {
     for (const auto& [label, table] : pl->factor_views()) {
-      os << "   <factor label=\"" << XmlEscape(dict.LabelName(label))
-         << "\">\n";
-      WriteExplicitRows(os, dict, *table);
-      os << "   </factor>\n";
+      AppendEscaped(out, "   <factor label=\"", dict.LabelName(label), "\">\n");
+      AppendRows(out, dict, table->rows());
+      out += "   </factor>\n";
     }
   } else {
     // Unknown representation: fall back to the equivalent explicit table.
-    WriteExplicitRows(os, dict, ExplicitOpf::FromEntries(opf.Entries()));
+    AppendRows(out, dict, ExplicitOpf::FromEntries(opf.Entries()).rows());
   }
-  os << "  </opf>\n";
+  out += "  </opf>\n";
 }
 
 }  // namespace
 
-std::string XmlEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      case '"':
-        out += "&quot;";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
 std::string SerializePxml(const ProbabilisticInstance& instance) {
   const WeakInstance& weak = instance.weak();
   const Dictionary& dict = weak.dict();
-  std::ostringstream os;
-  os << "<pxml root=\""
-     << (weak.HasRoot() ? XmlEscape(dict.ObjectName(weak.root()))
-                        : std::string())
-     << "\">\n";
-  // Types actually used by leaves.
-  std::vector<bool> used(dict.num_types(), false);
-  for (ObjectId o : weak.Objects()) {
-    auto t = weak.TypeOf(o);
-    if (t.has_value()) used[*t] = true;
-  }
-  os << " <types>\n";
-  for (TypeId t = 0; t < dict.num_types(); ++t) {
-    if (!used[t]) continue;
-    os << "  <type name=\"" << XmlEscape(dict.TypeName(t)) << "\">";
-    for (const Value& v : dict.TypeDomain(t)) {
-      WriteValueElement(os, "val", v, "");
-    }
-    os << "</type>\n";
-  }
-  os << " </types>\n";
-
-  for (ObjectId o : weak.Objects()) {
-    os << " <object id=\"" << XmlEscape(dict.ObjectName(o)) << '"';
-    auto type = weak.TypeOf(o);
-    if (type.has_value()) {
-      os << " type=\"" << XmlEscape(dict.TypeName(*type)) << '"';
-    }
-    os << ">\n";
-    for (LabelId l : weak.LabelsOf(o)) {
-      os << "  <lch label=\"" << XmlEscape(dict.LabelName(l)) << '"';
-      IntInterval card = weak.Card(o, l);
-      if (!card.IsUnconstrained()) {
-        os << " min=\"" << card.min() << "\"";
-        if (card.max() != IntInterval::kUnbounded) {
-          os << " max=\"" << card.max() << "\"";
-        }
-      }
-      os << '>';
-      bool first = true;
-      for (ObjectId c : weak.Lch(o, l)) {
-        if (!first) os << ' ';
-        first = false;
-        os << XmlEscape(dict.ObjectName(c));
-      }
-      os << "</lch>\n";
-    }
-    if (const Opf* opf = instance.GetOpf(o)) {
-      WriteOpf(os, dict, *opf);
-    }
-    auto witness = weak.ValueOf(o);
-    if (witness.has_value()) {
-      os << "  ";
-      WriteValueElement(os, "witness", *witness, "");
-      os << '\n';
+  std::string out;
+  AppendDocument(out, weak, "pxml", [&](ObjectId o) {
+    if (const Opf* opf = instance.GetOpf(o)) AppendOpf(out, dict, *opf);
+    if (auto witness = weak.ValueOf(o)) {
+      out += "  ";
+      AppendValueElement(out, "witness", *witness, {});
+      out += '\n';
     }
     if (const Vpf* vpf = instance.GetVpf(o)) {
-      os << "  <vpf>";
+      out += "  <vpf>";
       for (const Vpf::Entry& e : vpf->Entries()) {
-        WriteValueElement(os, "val", e.value,
-                          StrCat(" p=\"", FormatProb(e.prob), "\""));
+        AppendValueElement(out, "val", e.value, {{"p", e.prob}});
       }
-      os << "</vpf>\n";
+      out += "</vpf>\n";
     }
-    os << " </object>\n";
-  }
-  os << "</pxml>\n";
-  return os.str();
+  });
+  return out;
 }
 
 Status WritePxmlFile(const ProbabilisticInstance& instance,
                      const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IoError(StrCat("cannot open '", path, "' for writing"));
-  }
-  out << SerializePxml(instance);
-  out.flush();
-  if (!out) {
-    return Status::IoError(StrCat("write to '", path, "' failed"));
-  }
-  return Status::Ok();
+  return xml_internal::WriteFileBytes(path, SerializePxml(instance));
 }
 
 }  // namespace pxml

@@ -35,9 +35,6 @@ std::string SerializePxml(const ProbabilisticInstance& instance);
 Status WritePxmlFile(const ProbabilisticInstance& instance,
                      const std::string& path);
 
-/// Escapes &, <, >, " for embedding in text or attributes.
-std::string XmlEscape(std::string_view text);
-
 }  // namespace pxml
 
 #endif  // PXML_XML_WRITER_H_

@@ -4,6 +4,10 @@
 // interval ε-propagation queries that must bound every point instance.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/validation.h"
 #include "fixtures.h"
 #include "interval/interval_model.h"
@@ -312,6 +316,44 @@ TEST(IntervalIoTest, FileRoundTripAndErrors) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);  // lo > hi
+}
+
+TEST(IntervalIoTest, MalformedBoundsAreParseErrors) {
+  // A bound must be the whole attribute: a finite number in [0, 1] with
+  // nothing after it. Each failure names the element that carries it.
+  auto with_bounds = [](const std::string& lo, const std::string& hi) {
+    return "<ipxml root=\"r\"><types><type name=\"t\"><val k=\"s\">a</val>"
+           "</type></types><object id=\"r\"><lch label=\"l\">c</lch><iopf>"
+           "<row lo=\"" + lo + "\" hi=\"" + hi + "\">c</row><row lo=\"0\" "
+           "hi=\"0.5\"></row></iopf></object><object id=\"c\" type=\"t\">"
+           "<ivpf><val k=\"s\" lo=\"" + lo + "\" hi=\"" + hi + "\">a</val>"
+           "</ivpf></object></ipxml>";
+  };
+  ASSERT_TRUE(ParseIntervalPxml(with_bounds("0.5", "1")).ok())
+      << ParseIntervalPxml(with_bounds("0.5", "1")).status();
+  for (const auto& [lo, hi] : std::vector<std::pair<std::string, std::string>>{
+           {"0.5abc", "1"},
+           {"0.5 0.3", "1"},
+           {"0.5", "1junk"},
+           {"0.5", "1 1"},
+           {"nan", "1"},
+           {"0.5", "inf"},
+           {"-0.5", "1"},
+           {"0.5", "1e300"},
+           {"", "1"}}) {
+    Status s = ParseIntervalPxml(with_bounds(lo, hi)).status();
+    EXPECT_EQ(s.code(), StatusCode::kParseError) << lo << ", " << hi;
+    EXPECT_NE(s.message().find("<row>"), std::string::npos) << s;
+  }
+  // The same bounds on a value: the <iopf> rows are fine, the <val> is not.
+  const std::string bad_value = [&] {
+    std::string text = with_bounds("0.5", "1");
+    text.replace(text.rfind("lo=\"0.5\""), 9, "lo=\"0.5x\"");
+    return text;
+  }();
+  Status s = ParseIntervalPxml(bad_value).status();
+  EXPECT_EQ(s.code(), StatusCode::kParseError);
+  EXPECT_NE(s.message().find("<val>"), std::string::npos) << s;
 }
 
 }  // namespace

@@ -274,6 +274,31 @@ TEST(XmlRoundTripPropertyTest, WidenedIntervalInstancesRoundTrip) {
   }
 }
 
+TEST(XmlRoundTripPropertyTest, IntervalDoubleValuesRoundTrip) {
+  // Both formats print typed values through one routine at full
+  // precision, so two doubles that agree to six digits stay two distinct
+  // domain values (and the same bits) after an IPXML round trip.
+  IntervalInstance inst;
+  WeakInstance& weak = inst.weak();
+  const ObjectId r = weak.AddObject("r");
+  const ObjectId c = weak.AddObject("c");
+  ASSERT_TRUE(weak.SetRoot(r).ok());
+  ASSERT_TRUE(weak.AddPotentialChild(r, weak.dict().InternLabel("l"), c).ok());
+  auto type =
+      weak.dict().DefineType("t", {Value(0.1234567), Value(0.1234568)});
+  ASSERT_TRUE(type.ok()) << type.status();
+  ASSERT_TRUE(weak.SetLeafType(c, *type).ok());
+  IntervalOpf opf;
+  opf.Set(IdSet{c}, *IntervalProb::Make(0.25, 0.75));
+  opf.Set(IdSet(), *IntervalProb::Make(0.25, 0.75));
+  ASSERT_TRUE(inst.SetOpf(r, std::move(opf)).ok());
+  IntervalVpf vpf;
+  vpf.Set(Value(0.1234567), *IntervalProb::Make(0.5, 0.5));
+  vpf.Set(Value(0.1234568), *IntervalProb::Make(0.5, 0.5));
+  ASSERT_TRUE(inst.SetVpf(c, std::move(vpf)).ok());
+  ExpectIntervalRoundTrips(inst);
+}
+
 TEST(XmlRoundTripPropertyTest, DegenerateIntervalInstancesRoundTrip) {
   GeneratorConfig config;
   config.depth = 2;
