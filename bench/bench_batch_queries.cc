@@ -2,9 +2,9 @@
 // value / ancestor-projection queries over one §7.1 workload instance,
 // evaluated serially (threads=1) and with the parallel engine at
 // --threads=N (default: hardware concurrency). Prints queries/second for
-// each configuration, the speedup, the pool's scheduling counters, and
-// verifies that the parallel answers are bit-identical to the serial
-// ones before reporting.
+// each configuration, the speedup, the queries evaluated, and verifies
+// that the parallel answers are bit-identical to the serial ones before
+// reporting.
 //
 // Usage: bench_batch_queries [--threads=N] [--seed=S] [--trace=PATH]
 //        [--metrics=PATH] [--prom=PATH] [--json=PATH] [--mutate-rate=R]
@@ -47,22 +47,32 @@
 // projection batch with observability fully off (recorder capacity 0, no
 // sampling) vs fully on (default ring + sampling armed with a threshold
 // no query crosses). Answers must be bit-identical with exactly equal
-// row-op counts, and the min-over-rounds wall ratio must stay ≤ 1.02. A
-// final forced-slow pass (threshold 1ns) checks retention end-to-end.
+// row-op counts, and the median on/off wall ratio over paired rounds
+// must stay ≤ 1.02. A final forced-slow pass (threshold 1ns) checks
+// retention end-to-end.
 //
 // --overhead-gate is the ≤2% cancellation-overhead CI gate on the
 // undeadlined fig7a (ancestor projection) path: each round runs the same
 // projection batch unconstrained (null QueryControls) and under a
 // deadline an hour out (a live control charged at every site). Hard
 // properties: bit-identical answers and exactly equal row-op counts.
-// Wall ratio (min over rounds) must stay ≤ 1.02; exits non-zero
-// otherwise.
+// The median controlled/uncontrolled wall ratio over paired rounds must
+// stay ≤ 1.02; exits non-zero otherwise.
+//
+// Both gates time their two sides in pairs: each pair runs one query of
+// the batch on both sides back to back, alternating which side goes
+// first, and the gate decides on the median of the per-pair ratios (see
+// MeasurePairs). A host that speeds up or slows down moves both halves
+// of a pair, so the ratio measures the change; a min over rounds
+// compares two lucky draws instead.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "fig7_common.h"
 #include "query/engine.h"
@@ -382,6 +392,100 @@ int OverloadMain(const BenchFlags& flags, const ProbabilisticInstance& inst,
   return 0;
 }
 
+/// Rounds per wall-ratio gate; each round pairs every query of the batch.
+constexpr int kGateRounds = 20;
+/// The bound both wall-ratio gates hold the median pair ratio to.
+constexpr double kGateMaxRatio = 1.02;
+
+/// What one gate measured: the per-pair on/off wall ratios and their
+/// median, plus each side's median wall time per query.
+struct PairedWall {
+  std::vector<double> ratios;
+  double ratio = 0.0;
+  double off_s = 0.0;
+  double on_s = 0.0;
+};
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/// Runs `one` (a one-query batch) on the gate's off or on side.
+using GateRun = std::function<Result<std::vector<BatchAnswer>>(
+    bool on, const std::vector<BatchQuery>& one, BatchStats* stats)>;
+
+/// The paired measurement both ≤2% gates share. A warm-up pass runs
+/// every query once per side; its off-side answer and row-op count are
+/// the reference every later run of that query must equal exactly (the
+/// hard checks, independent of noise). Then each of kGateRounds rounds
+/// times both sides of every query back to back as one pair, running
+/// the on side first when round + query is odd, and the gate decides on
+/// the median of the per-pair on/off ratios. The two runs of a pair are
+/// milliseconds apart, so they see the same host and the ratio measures
+/// the change; a min over rounds compares two lucky draws instead.
+PairedWall MeasurePairs(const char* gate,
+                        const std::vector<BatchQuery>& queries,
+                        const GateRun& run) {
+  std::vector<BatchAnswer> reference(queries.size());
+  std::vector<std::uint64_t> reference_row_ops(queries.size());
+  const auto timed = [&](bool on, std::size_t q, bool warm_up) {
+    BatchStats stats;
+    auto answers = run(on, {queries[q]}, &stats);
+    BenchCheck(answers.status(), gate);
+    if (warm_up && !on) {
+      reference[q] = std::move((*answers)[0]);
+      reference_row_ops[q] = stats.opf_row_ops;
+    } else if (!SameAnswer(reference[q], (*answers)[0]) ||
+               stats.opf_row_ops != reference_row_ops[q]) {
+      std::fprintf(stderr,
+                   "%s: query %zu differs on the %s side (row ops %llu, "
+                   "reference %llu)\n",
+                   gate, q, on ? "on" : "off",
+                   static_cast<unsigned long long>(stats.opf_row_ops),
+                   static_cast<unsigned long long>(reference_row_ops[q]));
+      std::exit(1);
+    }
+    return stats.wall_seconds;
+  };
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    timed(false, q, true);
+    timed(true, q, true);
+  }
+  PairedWall m;
+  std::vector<double> off, on;
+  for (int round = 0; round < kGateRounds; ++round) {
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const bool on_first = (round + q) % 2 == 1;
+      const double first = timed(on_first, q, false);
+      const double second = timed(!on_first, q, false);
+      off.push_back(on_first ? second : first);
+      on.push_back(on_first ? first : second);
+      m.ratios.push_back(on.back() / off.back());
+    }
+  }
+  m.ratio = Median(m.ratios);
+  m.off_s = Median(off);
+  m.on_s = Median(on);
+  return m;
+}
+
+/// Prints the gate's table: median walls per query, the median pair
+/// ratio and the ratio quartiles, so a failing run shows whether a few
+/// pairs or all of them moved.
+void PrintPairs(const char* title, std::size_t queries, std::size_t threads,
+                const PairedWall& m) {
+  std::vector<double> sorted = m.ratios;
+  std::sort(sorted.begin(), sorted.end());
+  std::printf(
+      "# %s: %zu projections x %d rounds = %zu pairs, %zu threads\n"
+      "%12s %12s %8s %8s %8s\n%12.6f %12.6f %8.4f %8.4f %8.4f\n",
+      title, queries, kGateRounds, m.ratios.size(), threads, "off_wall_s",
+      "on_wall_s", "ratio", "q1", "q3", m.off_s, m.on_s, m.ratio,
+      sorted[sorted.size() / 4], sorted[(3 * sorted.size()) / 4]);
+}
+
 /// The ≤2% cancellation-overhead gate behind --overhead-gate. The
 /// engine's undeadlined path must pass null QueryControls everywhere, so
 /// attaching a never-tripping control may change nothing but a bounded
@@ -402,57 +506,32 @@ int OverheadGateMain(const BenchFlags& flags,
     queries.push_back(BatchQuery::AncestorProjection(*path));
   }
 
-  constexpr int kRounds = 5;
-  double off_min = 0.0, on_min = 0.0;
-  for (int round = 0; round < kRounds; ++round) {
-    BatchStats off_stats;
-    auto off = engine.Run(queries, QueryRequest{}, &off_stats);
-    BenchCheck(off.status(), "uncontrolled run");
-    QueryRequest generous;
-    generous.ExpireAfter(std::chrono::hours(1));
-    BatchStats on_stats;
-    auto on = engine.Run(queries, generous, &on_stats);
-    BenchCheck(on.status(), "controlled run");
+  const PairedWall m = MeasurePairs(
+      "overhead gate", queries,
+      [&engine](bool on, const std::vector<BatchQuery>& one,
+                BatchStats* stats) {
+        QueryRequest request;
+        if (on) request.ExpireAfter(std::chrono::hours(1));
+        return engine.Run(one, request, stats);
+      });
 
-    // Hard gates, independent of machine noise: a live control must not
-    // change what is computed, only watch it.
-    CheckIdentical(*off, *on);
-    if (off_stats.opf_row_ops != on_stats.opf_row_ops) {
-      std::fprintf(stderr,
-                   "overhead gate: row-op drift — %llu uncontrolled vs "
-                   "%llu controlled\n",
-                   static_cast<unsigned long long>(off_stats.opf_row_ops),
-                   static_cast<unsigned long long>(on_stats.opf_row_ops));
-      return 1;
-    }
-    off_min = round == 0 ? off_stats.wall_seconds
-                         : std::min(off_min, off_stats.wall_seconds);
-    on_min = round == 0 ? on_stats.wall_seconds
-                        : std::min(on_min, on_stats.wall_seconds);
-  }
-
-  const double ratio = on_min / off_min;
-  std::printf(
-      "# cancellation-overhead gate: %zu projections x %d rounds, "
-      "%zu threads\n"
-      "%12s %12s %8s\n%12.4f %12.4f %8.4f\n",
-      queries.size(), kRounds, engine.threads(), "off_wall_s", "on_wall_s",
-      "ratio", off_min, on_min, ratio);
-
+  PrintPairs("cancellation-overhead gate", queries.size(), engine.threads(),
+             m);
   JsonLog json("batch_queries_overhead_gate", flags);
   json.NextRow();
   json.Int("threads", engine.threads());
-  json.Num("uncontrolled_wall_s", off_min);
-  json.Num("controlled_wall_s", on_min);
-  json.Num("ratio", ratio);
+  json.Int("pairs", m.ratios.size());
+  json.Num("uncontrolled_wall_s", m.off_s);
+  json.Num("controlled_wall_s", m.on_s);
+  json.Num("ratio", m.ratio);
   json.Write();
   obs.Finish();
 
-  if (ratio > 1.02) {
+  if (m.ratio > kGateMaxRatio) {
     std::fprintf(stderr,
-                 "overhead gate: controlled/uncontrolled wall ratio %.4f "
-                 "exceeds 1.02\n",
-                 ratio);
+                 "overhead gate: median controlled/uncontrolled wall ratio "
+                 "%.4f exceeds %.2f\n",
+                 m.ratio, kGateMaxRatio);
     return 1;
   }
   return 0;
@@ -486,37 +565,16 @@ int RecorderGateMain(const BenchFlags& flags,
     queries.push_back(BatchQuery::AncestorProjection(*path));
   }
 
-  constexpr int kRounds = 5;
-  double off_min = 0.0, on_min = 0.0;
-  std::vector<BatchAnswer> reference;
-  for (int round = 0; round < kRounds; ++round) {
-    BatchStats off_stats;
-    auto off = off_engine.Run(queries, QueryRequest{}, &off_stats);
-    BenchCheck(off.status(), "recorder-off run");
-    BatchStats on_stats;
-    auto on = on_engine.Run(queries, QueryRequest{}, &on_stats);
-    BenchCheck(on.status(), "recorder-on run");
-
-    // Hard gates, independent of machine noise: the recorder and the
-    // sampler must not change what is computed, only record it.
-    CheckIdentical(*off, *on);
-    if (off_stats.opf_row_ops != on_stats.opf_row_ops) {
-      std::fprintf(stderr,
-                   "recorder gate: row-op drift — %llu off vs %llu on\n",
-                   static_cast<unsigned long long>(off_stats.opf_row_ops),
-                   static_cast<unsigned long long>(on_stats.opf_row_ops));
-      return 1;
-    }
-    if (round == 0) reference = std::move(off).ValueOrDie();
-    off_min = round == 0 ? off_stats.wall_seconds
-                         : std::min(off_min, off_stats.wall_seconds);
-    on_min = round == 0 ? on_stats.wall_seconds
-                        : std::min(on_min, on_stats.wall_seconds);
-  }
+  std::uint64_t on_queries = 0;
+  const PairedWall m = MeasurePairs(
+      "recorder gate", queries,
+      [&](bool on, const std::vector<BatchQuery>& one, BatchStats* stats) {
+        if (on) on_queries += one.size();
+        return (on ? on_engine : off_engine).Run(one, {}, stats);
+      });
 
   // The ring saw every completion; nothing crossed the 1-hour threshold.
-  const std::uint64_t expected =
-      static_cast<std::uint64_t>(kRounds) * queries.size();
+  const std::uint64_t expected = on_queries;
   if (on_engine.flight_recorder().total_recorded() != expected) {
     std::fprintf(stderr, "recorder gate: ring recorded %llu of %llu\n",
                  static_cast<unsigned long long>(
@@ -537,7 +595,9 @@ int RecorderGateMain(const BenchFlags& flags,
   QueryEngine slow_engine(inst, slow_options);
   auto slow = slow_engine.Run(queries, QueryRequest{});
   BenchCheck(slow.status(), "forced-slow run");
-  CheckIdentical(reference, *slow);
+  auto reference = off_engine.Run(queries, QueryRequest{});
+  BenchCheck(reference.status(), "recorder-off run");
+  CheckIdentical(*reference, *slow);
   if (slow_engine.slow_query_log().retained() != queries.size()) {
     std::fprintf(stderr, "recorder gate: retained %llu of %zu forced-slow\n",
                  static_cast<unsigned long long>(
@@ -559,19 +619,15 @@ int RecorderGateMain(const BenchFlags& flags,
     return 1;
   }
 
-  const double ratio = on_min / off_min;
-  std::printf(
-      "# recorder-overhead gate: %zu projections x %d rounds, %zu threads\n"
-      "%12s %12s %8s\n%12.4f %12.4f %8.4f\n",
-      queries.size(), kRounds, off_engine.threads(), "off_wall_s",
-      "on_wall_s", "ratio", off_min, on_min, ratio);
-
+  PrintPairs("recorder-overhead gate", queries.size(), off_engine.threads(),
+             m);
   JsonLog json("batch_queries_recorder_gate", flags);
   json.NextRow();
   json.Int("threads", off_engine.threads());
-  json.Num("recorder_off_wall_s", off_min);
-  json.Num("recorder_on_wall_s", on_min);
-  json.Num("ratio", ratio);
+  json.Int("pairs", m.ratios.size());
+  json.Num("recorder_off_wall_s", m.off_s);
+  json.Num("recorder_on_wall_s", m.on_s);
+  json.Num("ratio", m.ratio);
   json.Int("recorded", on_engine.flight_recorder().total_recorded());
   json.Int("forced_slow_retained", slow_engine.slow_query_log().retained());
   json.Write();
@@ -590,10 +646,11 @@ int RecorderGateMain(const BenchFlags& flags,
   }
   obs.Finish();
 
-  if (ratio > 1.02) {
+  if (m.ratio > kGateMaxRatio) {
     std::fprintf(stderr,
-                 "recorder gate: on/off wall ratio %.4f exceeds 1.02\n",
-                 ratio);
+                 "recorder gate: median on/off wall ratio %.4f exceeds "
+                 "%.2f\n",
+                 m.ratio, kGateMaxRatio);
     return 1;
   }
   return 0;
@@ -666,9 +723,9 @@ int Main(int argc, char** argv) {
       "# batch query engine: %zu mixed queries over one instance "
       "(%zu objects, %zu OPF rows)\n",
       queries.size(), inst->weak().num_objects(), inst->TotalOpfEntries());
-  std::printf("%8s %10s %10s %8s %8s %8s %10s %8s %9s %9s %9s %9s\n",
-              "threads", "wall_s", "cpu_s", "qps", "speedup", "tasks",
-              "steals", "depth", "p50_us", "p90_us", "p99_us", "p999_us");
+  std::printf("%8s %10s %10s %8s %8s %8s %9s %9s %9s %9s\n", "threads",
+              "wall_s", "cpu_s", "qps", "speedup", "tasks", "p50_us",
+              "p90_us", "p99_us", "p999_us");
 
   JsonLog json("batch_queries", flags);
   double serial_wall = 0.0;
@@ -705,13 +762,11 @@ int Main(int argc, char** argv) {
       CheckIdentical(serial_answers, *answers);
     }
     std::printf(
-        "%8zu %10.3f %10.3f %8.1f %8.2f %8zu %10zu %8zu %9.1f %9.1f %9.1f "
-        "%9.1f\n",
+        "%8zu %10.3f %10.3f %8.1f %8.2f %8zu %9.1f %9.1f %9.1f %9.1f\n",
         stats.threads, stats.wall_seconds, stats.cpu_seconds,
         static_cast<double>(queries.size()) / stats.wall_seconds,
-        serial_wall / stats.wall_seconds, stats.tasks, stats.steal_count,
-        stats.max_queue_depth, q.P50() / 1e3, q.P90() / 1e3, q.P99() / 1e3,
-        q.P999() / 1e3);
+        serial_wall / stats.wall_seconds, stats.tasks, q.P50() / 1e3,
+        q.P90() / 1e3, q.P99() / 1e3, q.P999() / 1e3);
     std::fflush(stdout);
     json.NextRow();
     json.Int("threads", stats.threads);

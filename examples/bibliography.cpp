@@ -34,7 +34,7 @@ T Unwrap(Result<T> result) {
 /// pipeline that is unsure which books/authors it really saw.
 ProbabilisticInstance BuildIndex(const char* suffix, std::uint64_t flavor) {
   ProbabilisticInstance inst;
-  WeakInstance& weak = inst.weak();
+  WeakInstance& weak = inst.mutable_weak();
   Dictionary& dict = weak.dict();
   auto name = [&](const char* base) { return std::string(base) + suffix; };
 

@@ -34,7 +34,7 @@ T Unwrap(Result<T> result) {
 /// A small extraction result: R --paper--> P --author--> A.
 ProbabilisticInstance BuildPointInstance() {
   ProbabilisticInstance inst;
-  WeakInstance& weak = inst.weak();
+  WeakInstance& weak = inst.mutable_weak();
   ObjectId r = weak.AddObject("R");
   ObjectId p = weak.AddObject("P");
   ObjectId a = weak.AddObject("A");

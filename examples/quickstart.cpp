@@ -33,7 +33,7 @@ T Unwrap(Result<T> result) {
 /// Example 4.1 yields P(S1) = 0.00448).
 ProbabilisticInstance BuildFigure2() {
   ProbabilisticInstance inst;
-  WeakInstance& weak = inst.weak();
+  WeakInstance& weak = inst.mutable_weak();
   Dictionary& dict = weak.dict();
 
   // Objects and labels.

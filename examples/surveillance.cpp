@@ -36,7 +36,7 @@ T Unwrap(Result<T> result) {
 
 int main() {
   ProbabilisticInstance inst;
-  WeakInstance& weak = inst.weak();
+  WeakInstance& weak = inst.mutable_weak();
   Dictionary& dict = weak.dict();
 
   ObjectId scene = weak.AddObject("S1");

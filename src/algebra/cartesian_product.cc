@@ -66,14 +66,14 @@ Status CopyMapped(const ProbabilisticInstance& in, const IdMaps& maps,
   };
   for (ObjectId o : weak.Objects()) {
     if (!(reparent && o == weak.root())) {
-      PXML_RETURN_IF_ERROR(out->weak().AddObjectById(maps.object[o]));
+      PXML_RETURN_IF_ERROR(out->mutable_weak().AddObjectById(maps.object[o]));
     }
   }
   for (ObjectId o : weak.Objects()) {
     ObjectId to = target_of(o);
     for (LabelId l : weak.LabelsOf(o)) {
       for (ObjectId c : weak.Lch(o, l)) {
-        PXML_RETURN_IF_ERROR(out->weak().AddPotentialChild(
+        PXML_RETURN_IF_ERROR(out->mutable_weak().AddPotentialChild(
             to, maps.label[l], maps.object[c]));
       }
     }
@@ -83,10 +83,10 @@ Status CopyMapped(const ProbabilisticInstance& in, const IdMaps& maps,
         auto val = weak.ValueOf(o);
         if (val.has_value()) {
           PXML_RETURN_IF_ERROR(
-              out->weak().SetLeafValue(to, maps.type[*type], *val));
+              out->mutable_weak().SetLeafValue(to, maps.type[*type], *val));
         } else {
           PXML_RETURN_IF_ERROR(
-              out->weak().SetLeafType(to, maps.type[*type]));
+              out->mutable_weak().SetLeafType(to, maps.type[*type]));
         }
       }
       if (const Vpf* vpf = in.GetVpf(o)) {
@@ -102,7 +102,7 @@ Status CopyMapped(const ProbabilisticInstance& in, const IdMaps& maps,
   }
   for (const CardinalityMap::Entry& e : weak.card().Entries()) {
     if (!weak.Present(e.object)) continue;
-    PXML_RETURN_IF_ERROR(out->weak().SetCard(
+    PXML_RETURN_IF_ERROR(out->mutable_weak().SetCard(
         target_of(e.object), maps.label[e.label], e.interval));
   }
   return Status::Ok();
@@ -127,7 +127,7 @@ Result<ProbabilisticInstance> CartesianProduct(
     return Status::FailedPrecondition("both instances need a root");
   }
   ProbabilisticInstance out;
-  Dictionary& dict = out.dict();
+  Dictionary& dict = out.mutable_dict();
   PXML_ASSIGN_OR_RETURN(IdMaps lmaps,
                         MergeDictionary(left.dict(), &dict, false));
   PXML_ASSIGN_OR_RETURN(IdMaps rmaps,
@@ -136,8 +136,8 @@ Result<ProbabilisticInstance> CartesianProduct(
     return Status::FailedPrecondition(
         StrCat("new root name '", new_root_name, "' collides"));
   }
-  ObjectId root = out.weak().AddObject(new_root_name);
-  PXML_RETURN_IF_ERROR(out.weak().SetRoot(root));
+  ObjectId root = out.mutable_weak().AddObject(new_root_name);
+  PXML_RETURN_IF_ERROR(out.mutable_weak().SetRoot(root));
 
   PXML_RETURN_IF_ERROR(CopyMapped(left, lmaps, root, &out));
   PXML_RETURN_IF_ERROR(CopyMapped(right, rmaps, root, &out));
@@ -168,7 +168,7 @@ Result<ProbabilisticInstance> CartesianProduct(
            ri.max() == IntInterval::kUnbounded)
               ? IntInterval::kUnbounded
               : li.max() + ri.max();
-      PXML_RETURN_IF_ERROR(out.weak().SetCard(
+      PXML_RETURN_IF_ERROR(out.mutable_weak().SetCard(
           root, l, IntInterval(li.min() + ri.min(), max)));
     }
   }
@@ -261,7 +261,7 @@ Result<ProbabilisticInstance> RenameObjects(
     }
   }
   ProbabilisticInstance out;
-  Dictionary& dict = out.dict();
+  Dictionary& dict = out.mutable_dict();
   IdMaps maps;
   maps.object.resize(src.num_objects());
   for (ObjectId o = 0; o < src.num_objects(); ++o) {
@@ -285,7 +285,7 @@ Result<ProbabilisticInstance> RenameObjects(
   }
   PXML_RETURN_IF_ERROR(CopyMapped(instance, maps, kInvalidId, &out));
   PXML_RETURN_IF_ERROR(
-      out.weak().SetRoot(maps.object[instance.weak().root()]));
+      out.mutable_weak().SetRoot(maps.object[instance.weak().root()]));
   return out;
 }
 

@@ -69,9 +69,9 @@ Status CopyLeafData(const ProbabilisticInstance& in, ObjectId o,
   if (!type.has_value()) return Status::Ok();
   auto val = weak.ValueOf(o);
   if (val.has_value()) {
-    PXML_RETURN_IF_ERROR(out->weak().SetLeafValue(o, *type, *val));
+    PXML_RETURN_IF_ERROR(out->mutable_weak().SetLeafValue(o, *type, *val));
   } else {
-    PXML_RETURN_IF_ERROR(out->weak().SetLeafType(o, *type));
+    PXML_RETURN_IF_ERROR(out->mutable_weak().SetLeafType(o, *type));
   }
   if (const Vpf* vpf = in.GetVpf(o)) {
     PXML_RETURN_IF_ERROR(out->SetVpf(o, *vpf));
@@ -147,9 +147,9 @@ Result<ProbabilisticInstance> AncestorProject(
 
   const std::size_t n = path.labels.size();
   ProbabilisticInstance out;
-  out.weak().SetDictionary(weak.dict());
-  out.weak().AddObjectById(weak.root()).ok();
-  PXML_RETURN_IF_ERROR(out.weak().SetRoot(weak.root()));
+  out.mutable_weak().SetDictionary(weak.dict());
+  out.mutable_weak().AddObjectById(weak.root()).ok();
+  PXML_RETURN_IF_ERROR(out.mutable_weak().SetRoot(weak.root()));
 
   // Degenerate cases: an empty path projects onto the bare root (keeping
   // its leaf data if the root is a W-leaf); a structurally unmatched path
@@ -443,8 +443,8 @@ Result<ProbabilisticInstance> AncestorProject(
       IdSet universe = new_opf[o]->ChildUniverse();
       for (ObjectId c : universe) {
         kept[c] = 1;
-        out.weak().AddObjectById(c).ok();
-        PXML_RETURN_IF_ERROR(out.weak().AddPotentialChild(o, l, c));
+        out.mutable_weak().AddObjectById(c).ok();
+        PXML_RETURN_IF_ERROR(out.mutable_weak().AddPotentialChild(o, l, c));
       }
     }
   }
@@ -453,7 +453,7 @@ Result<ProbabilisticInstance> AncestorProject(
     for (ObjectId o : layers[level]) {
       if (!kept[o] || dropped[o] || new_opf[o] == nullptr) continue;
       std::vector<OpfEntry> rows = new_opf[o]->Entries();
-      SetCardFromSupport(o, l, rows, &out.weak());
+      SetCardFromSupport(o, l, rows, &out.mutable_weak());
       PXML_RETURN_IF_ERROR(out.SetOpf(o, std::move(new_opf[o])));
     }
   }
@@ -492,9 +492,9 @@ Result<ProbabilisticInstance> SingleProject(
   const std::size_t n = path.labels.size();
 
   ProbabilisticInstance out;
-  out.weak().SetDictionary(weak.dict());
-  out.weak().AddObjectById(weak.root()).ok();
-  PXML_RETURN_IF_ERROR(out.weak().SetRoot(weak.root()));
+  out.mutable_weak().SetDictionary(weak.dict());
+  out.mutable_weak().AddObjectById(weak.root()).ok();
+  PXML_RETURN_IF_ERROR(out.mutable_weak().SetRoot(weak.root()));
   if (layers[n].empty()) {
     if (stats != nullptr) stats->kept_objects = 1;
     return out;
@@ -556,9 +556,9 @@ Result<ProbabilisticInstance> SingleProject(
   // OPF is the computed joint.
   const LabelId last = path.labels[n - 1];
   for (ObjectId t : layers[n]) {
-    out.weak().AddObjectById(t).ok();
+    out.mutable_weak().AddObjectById(t).ok();
     PXML_RETURN_IF_ERROR(
-        out.weak().AddPotentialChild(weak.root(), last, t));
+        out.mutable_weak().AddPotentialChild(weak.root(), last, t));
     if (weak.IsLeaf(t)) {
       PXML_RETURN_IF_ERROR(CopyLeafData(instance, t, &out));
     }
@@ -571,7 +571,7 @@ Result<ProbabilisticInstance> SingleProject(
   auto root_opf =
       std::make_unique<ExplicitOpf>(ExplicitOpf::FromEntries(std::move(rows)));
   std::vector<OpfEntry> support = root_opf->Entries();
-  SetCardFromSupport(weak.root(), last, support, &out.weak());
+  SetCardFromSupport(weak.root(), last, support, &out.mutable_weak());
   PXML_RETURN_IF_ERROR(out.SetOpf(weak.root(), std::move(root_opf)));
   Clock::time_point t4 = Clock::now();
   if (stats != nullptr) {
@@ -607,11 +607,11 @@ Result<ProbabilisticInstance> DescendantProject(
     }
     for (LabelId l : weak.LabelsOf(o)) {
       for (ObjectId c : weak.Lch(o, l)) {
-        out.weak().AddObjectById(c).ok();
-        PXML_RETURN_IF_ERROR(out.weak().AddPotentialChild(o, l, c));
+        out.mutable_weak().AddObjectById(c).ok();
+        PXML_RETURN_IF_ERROR(out.mutable_weak().AddPotentialChild(o, l, c));
         frontier.push_back(c);
       }
-      PXML_RETURN_IF_ERROR(out.weak().SetCard(o, l, weak.Card(o, l)));
+      PXML_RETURN_IF_ERROR(out.mutable_weak().SetCard(o, l, weak.Card(o, l)));
     }
     if (const Opf* opf = instance.GetOpf(o)) {
       PXML_RETURN_IF_ERROR(out.SetOpf(o, opf->Clone()));

@@ -11,7 +11,7 @@ namespace pxml {
 Result<ProbabilisticInstance> FactorGlobalInterpretation(
     const WeakInstance& weak, const std::vector<World>& global) {
   ProbabilisticInstance out;
-  out.weak() = weak;
+  out.mutable_weak() = weak;
 
   for (ObjectId o : weak.Objects()) {
     double occur_mass = 0.0;

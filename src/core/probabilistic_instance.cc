@@ -46,7 +46,7 @@ WeakInstance& ProbabilisticInstance::MutableWeak() { return Unshare(weak_); }
 
 void ProbabilisticInstance::NoteLocalChange(ObjectId o) {
   ++version_;
-  const WeakInstance& weak = std::as_const(*this).weak();
+  const WeakInstance& w = weak();
   // Stamp o and every potential ancestor with the new version. On a tree
   // this is one root-ward walk (O(depth)); on a DAG the version guard
   // makes diamond re-visits O(1).
@@ -57,12 +57,12 @@ void ProbabilisticInstance::NoteLocalChange(ObjectId o) {
     if (x >= subtree_change_.size()) subtree_change_.resize(x + 1, 0);
     if (subtree_change_[x] == version_) continue;
     subtree_change_[x] = version_;
-    for (ObjectId p : weak.PotentialParents(x)) stack.push_back(p);
+    for (ObjectId p : w.PotentialParents(x)) stack.push_back(p);
   }
 }
 
 Status ProbabilisticInstance::SetOpf(ObjectId o, std::unique_ptr<Opf> opf) {
-  if (!std::as_const(*this).weak().Present(o)) {
+  if (!weak().Present(o)) {
     return Status::NotFound(StrCat("object id ", o, " not present"));
   }
   if (opf == nullptr) {
@@ -74,7 +74,7 @@ Status ProbabilisticInstance::SetOpf(ObjectId o, std::unique_ptr<Opf> opf) {
 }
 
 Status ProbabilisticInstance::SetVpf(ObjectId o, Vpf vpf) {
-  if (!std::as_const(*this).weak().Present(o)) {
+  if (!weak().Present(o)) {
     return Status::NotFound(StrCat("object id ", o, " not present"));
   }
   vpfs_.Set(o, std::make_shared<const Vpf>(std::move(vpf)));

@@ -23,18 +23,20 @@ namespace pxml {
 /// fixed kChunkSize-slot chunks of shared_ptrs to immutable OPF/VPF
 /// entries. Copying an instance therefore costs one pointer for W, one
 /// per chunk of each table, and the flat per-object version vector.
-/// Writes are copy-on-write: a non-const weak() or dict() clones W, and
-/// SetOpf/SetVpf clone the one chunk they write, but only while a copy
-/// still shares it, so copies stay isolated. A MutationGuard's working
-/// copy and an algebra result that rewrites a few OPFs (Select) share
-/// everything else with their input.
+/// Writes are copy-on-write: mutable_weak() and mutable_dict() clone W,
+/// and SetOpf/SetVpf clone the one chunk they write, but only while a
+/// copy still shares it, so copies stay isolated. A MutationGuard's
+/// working copy and an algebra result that rewrites a few OPFs (Select)
+/// share everything else with their input. Reads go through the const
+/// weak()/dict(), which never clone and never bump a version, whatever
+/// the constness of the instance.
 ///
-/// Sharing adds one rule: a mutable WeakInstance& or Dictionary& from the
-/// non-const weak()/dict() must not be used after the instance is copied,
-/// because it would write through to the copy. Take a fresh reference
-/// after the copy instead. (Conversely, a const reference taken before a
-/// non-const access that clones W keeps reading the W the copies share.)
-/// A moved-from instance is a valid, empty instance.
+/// Sharing adds one rule: a WeakInstance& or Dictionary& from
+/// mutable_weak()/mutable_dict() must not be used after the instance is
+/// copied, because it would write through to the copy. Take a fresh
+/// reference after the copy instead. (Conversely, a const reference
+/// taken before a mutable access that clones W keeps reading the W the
+/// copies share.) A moved-from instance is a valid, empty instance.
 ///
 /// Versioning (for incremental refreezing, DESIGN.md §8): every mutation
 /// that goes through this API bumps a monotone version counter, and each
@@ -42,21 +44,19 @@ namespace pxml {
 /// potential ancestors* with the new version (per-object dirty tracking —
 /// O(depth) per update on a tree). A per-subtree result compiled at
 /// version V for object o (a FrozenInstance kernel) is still valid iff
-/// SubtreeChangeVersion(o) <= V. Structural edits obtained through the
-/// non-const weak() accessor cannot be tracked per object, so they
-/// conservatively bump a separate structure_version() that forces a full
-/// Freeze.
+/// SubtreeChangeVersion(o) <= V. Structural edits obtained through
+/// mutable_weak() cannot be tracked per object, so they conservatively
+/// bump a separate structure_version() that forces a full Freeze.
 class ProbabilisticInstance {
  public:
   /// Slots per shared ℘ chunk: a copy costs one pointer per chunk, a
   /// first write to a shared chunk copies its slots.
   static constexpr std::size_t kChunkSize = 512;
 
-  /// Non-const structural access: hands out the weak instance for
-  /// construction/surgery, so it conservatively marks the structure (and
-  /// thus every snapshot compiled from it) dirty, and clones W first if
-  /// a copy still shares it.
-  WeakInstance& weak() {
+  /// Structural access for construction and surgery: clones W first if
+  /// a copy still shares it, and conservatively marks the structure (and
+  /// thus every snapshot compiled from it) dirty.
+  WeakInstance& mutable_weak() {
     ++version_;
     ++structure_version_;
     return MutableWeak();
@@ -66,7 +66,7 @@ class ProbabilisticInstance {
   }
 
   /// Clones W first if a copy still shares it; bumps no version.
-  Dictionary& dict() { return MutableWeak().dict(); }
+  Dictionary& mutable_dict() { return MutableWeak().dict(); }
   const Dictionary& dict() const { return weak().dict(); }
 
   /// Installs ℘(o) for a non-leaf object. The OPF's support is *not*
@@ -91,12 +91,13 @@ class ProbabilisticInstance {
   std::size_t TotalOpfEntries() const;
 
   /// Monotone mutation counter: bumped by every SetOpf/SetVpf and every
-  /// non-const weak() access. Two equal versions mean "no mutation went
+  /// mutable_weak() access. Two equal versions mean "no mutation went
   /// through this API in between".
   std::uint64_t version() const { return version_; }
 
-  /// Bumped whenever the weak structure may have changed (non-const
-  /// weak() access). ℘-only updates (SetOpf/SetVpf) leave it untouched.
+  /// Bumped whenever the weak structure may have changed (a
+  /// mutable_weak() access). ℘-only updates (SetOpf/SetVpf) leave it
+  /// untouched.
   std::uint64_t structure_version() const { return structure_version_; }
 
   /// The version at which ℘ last changed anywhere in the potential

@@ -64,18 +64,23 @@ Status WeakInstance::AddPotentialChild(ObjectId o, LabelId l,
     return Status::NotFound(StrCat("label id ", l, " not in dictionary"));
   }
   auto& lch = nodes_[o].lch;
+  // o is already a parent of child iff child sits in one of o's own lch
+  // sets: a few binary searches, where scanning child's parent list
+  // would cost O(parents) per call.
+  bool known_parent = false;
+  for (const LchEntry& e : lch) {
+    if (!e.children.Contains(child)) continue;
+    if (e.label == l) return Status::Ok();
+    known_parent = true;
+  }
   auto it = std::lower_bound(
       lch.begin(), lch.end(), l,
       [](const LchEntry& e, LabelId key) { return e.label < key; });
   if (it == lch.end() || it->label != l) {
     it = lch.insert(it, LchEntry{l, IdSet()});
   }
-  if (it->children.Contains(child)) return Status::Ok();
-  it->children = it->children.With(child);
-  auto& parents = nodes_[child].parents;
-  if (std::find(parents.begin(), parents.end(), o) == parents.end()) {
-    parents.push_back(o);
-  }
+  it->children.Insert(child);
+  if (!known_parent) nodes_[child].parents.push_back(o);
   return Status::Ok();
 }
 

@@ -316,7 +316,7 @@ Status IntervalInstance::CheckContainsPoint(
 Result<ProbabilisticInstance> IntervalInstance::SamplePointInstance(
     Rng& rng) const {
   ProbabilisticInstance out;
-  out.weak() = weak_;
+  out.mutable_weak() = weak_;
   for (ObjectId o : weak_.Objects()) {
     if (const IntervalOpf* iopf = GetOpf(o)) {
       const auto& rows = iopf->Entries();

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
+#include <thread>
 
 #include "util/status.h"
 
@@ -123,10 +124,27 @@ void FlightRecorder::Record(FlightRecord rec) {
   if (capacity_ == 0) return;
   const std::uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[seq & mask_];
-  // Ticket odd = "write in progress for seq". The release fence orders it
-  // before the payload stores for any reader that observes those stores
-  // through its own acquire fence (see the class comment's protocol).
-  slot.word[0].store(seq * 2 + 1, std::memory_order_relaxed);
+  // Ticket odd = "write in progress for seq". Writers that lap the ring
+  // meet on one slot, so the ticket is claimed, not just stored: only
+  // from an even ticket of an older seq, waiting out an older write in
+  // progress, and never over a newer seq, whose record is the one the
+  // ring keeps. Two payloads therefore never interleave in a slot. The
+  // acquire orders this payload after the previous owner's; the release
+  // fence orders the odd ticket before the payload stores for any reader
+  // that observes those stores through its own acquire fence (see the
+  // class comment's protocol).
+  const std::uint64_t mine = seq * 2 + 1;
+  std::uint64_t ticket = slot.word[0].load(std::memory_order_acquire);
+  while (true) {
+    if (ticket > mine) return;  // a newer record owns the slot
+    if (ticket % 2 == 1) {      // an older write is in progress
+      std::this_thread::yield();
+      ticket = slot.word[0].load(std::memory_order_acquire);
+    } else if (slot.word[0].compare_exchange_weak(
+                   ticket, mine, std::memory_order_acquire)) {
+      break;
+    }
+  }
   std::atomic_thread_fence(std::memory_order_release);
   slot.word[1].store(NowNs(), std::memory_order_relaxed);
   slot.word[2].store(rec.epoch, std::memory_order_relaxed);

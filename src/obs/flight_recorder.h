@@ -59,17 +59,20 @@ const char* QueryKindName(std::uint8_t kind);
 ///
 /// Writer protocol (a seqlock per slot, all words atomic so the race is
 /// defined behavior under TSAN): a writer claims seq = next_++ (relaxed
-/// fetch_add — the only contended operation), stamps the slot's ticket
-/// odd (seq*2+1, relaxed), issues a release fence, stores the payload
+/// fetch_add — the only contended operation), claims the slot's ticket
+/// odd (seq*2+1) by a compare-exchange from an older seq's even ticket
+/// (dropping its record if a newer seq owns the slot, and yielding while
+/// an older write to the slot is in progress, which happens only when
+/// writers lap the ring), issues a release fence, stores the payload
 /// words relaxed, and finally stores the ticket even (seq*2+2, release).
 /// A reader accepts a slot only if the ticket reads seq*2+2 both before
 /// (acquire) and after (acquire fence, then relaxed) copying the payload:
 /// the release-fence/acquire-fence pairing guarantees that a reader which
 /// observed any later writer's payload word also observes that writer's
 /// odd ticket on the re-read, so torn records are rejected, never
-/// returned. Writers never block, never allocate, and never wait on
-/// readers; Dump is best-effort by design (records being overwritten
-/// mid-dump are skipped).
+/// returned. Writers never allocate and never wait on readers; Dump is
+/// best-effort by design (records being overwritten mid-dump are
+/// skipped).
 ///
 /// Capacity is rounded up to a power of two; 0 disables the recorder
 /// entirely (Record is a no-op, Dump returns nothing).

@@ -26,9 +26,9 @@ namespace obs {
 /// exact (fetch_add never loses increments); a value() read concurrent
 /// with writers may lag by in-flight increments but is monotonically
 /// consistent. Readers that need "all increments from phase X" must
-/// synchronize with the writers through an external mechanism (a join, a
-/// TaskGroup::Wait, a mutex) — exactly the discipline the query engine
-/// already follows for its stats structs.
+/// synchronize with the writers through an external mechanism (a join,
+/// the return of BatchExecutor::Run, a mutex) — exactly the discipline
+/// the query engine already follows for its stats structs.
 class Counter {
  public:
   void Add(std::uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
@@ -41,7 +41,7 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// A last-writer-wins signed gauge (e.g. pool thread count, cache size,
+/// A last-writer-wins signed gauge (e.g. executor backlog, cache size,
 /// live MVCC snapshots). Same relaxed contract as Counter.
 class Gauge {
  public:
@@ -196,7 +196,7 @@ struct MetricsSnapshot {
 /// returns the same object, and registered metrics are never removed
 /// (references stay valid forever).
 ///
-/// Registry counters are cumulative across every engine/cache/pool
+/// Registry counters are cumulative across every engine/cache
 /// instance in the process; the per-query and per-batch stats structs
 /// (EpsilonStats, ProjectionStats, BatchStats) remain the attribution
 /// mechanism and are flushed into the registry at pass boundaries, so

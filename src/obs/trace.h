@@ -58,15 +58,15 @@ struct SpanRecord {
 /// observe the computation, they do not steer it (differentially tested
 /// at 1/2/4/8 threads in tests/obs_test.cc).
 ///
-/// Thread-safety: spans may open/close concurrently from pool workers; a
-/// mutex guards the span vector. Parent linkage is per-thread (a
-/// thread-local stack of open spans), so a span opened on a worker
+/// Thread-safety: spans may open/close concurrently from executor
+/// workers; a mutex guards the span vector. Parent linkage is per-thread
+/// (a thread-local stack of open spans), so a span opened on a worker
 /// thread that has no open ancestor on that thread becomes a root span —
 /// which is exactly how Chrome's trace viewer renders per-thread tracks.
 ///
 /// Reading spans()/export while spans are still open on other threads is
 /// a data race by contract — quiesce first (the engine reads only after
-/// its TaskGroup::Wait).
+/// BatchExecutor::Run returns).
 class TraceSession {
  public:
   TraceSession();

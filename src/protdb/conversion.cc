@@ -14,7 +14,7 @@ Result<ProbabilisticInstance> FromProtdb(const ProtdbDocument& doc,
   }
   const Dictionary& src = doc.dict();
   ProbabilisticInstance out;
-  WeakInstance& weak = out.weak();
+  WeakInstance& weak = out.mutable_weak();
 
   // Collect the value domain of each type name across the document.
   std::map<std::string, std::set<Value>> domains;

@@ -114,8 +114,9 @@ obs::Gauge& InflightGauge() {
       obs::Registry::Global().GetGauge("pxml.engine.inflight");
   return g;
 }
-/// Pool backlog (unclaimed queued tasks) sampled at each batch arrival, so
-/// an operator can see the pool pressure a batch arrived into.
+/// Executor backlog (queries of running batches that no thread has
+/// claimed yet) sampled at each batch arrival, so an operator can see the
+/// pressure a batch arrived into.
 obs::Gauge& BacklogGauge() {
   static obs::Gauge& g =
       obs::Registry::Global().GetGauge("pxml.engine.backlog");
@@ -505,14 +506,20 @@ struct QueryEngine::Epoch {
   }
 };
 
+namespace {
+
+BatchOptions ResolveThreads(BatchOptions options) {
+  if (options.threads == 0) {
+    options.threads = std::max(1u, std::thread::hardware_concurrency());
+  }
+  return options;
+}
+
+}  // namespace
+
 QueryEngine::QueryEngine(ProbabilisticInstance instance, BatchOptions options)
-    : options_(options) {
-  if (options_.threads == 0) {
-    options_.threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  if (options_.threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.threads);
-  }
+    : options_(ResolveThreads(options)),
+      executor_(options_.threads > 1 ? options_.threads : 0) {
   if (options_.answer_cache) {
     answer_cache_ = std::make_unique<AnswerCache>();
   }
@@ -539,10 +546,6 @@ QueryEngine::~QueryEngine() = default;
 const ProbabilisticInstance& QueryEngine::instance() const {
   std::lock_guard<std::mutex> lock(head_mu_);
   return *head_->instance;
-}
-
-std::size_t QueryEngine::threads() const {
-  return pool_ != nullptr ? pool_->num_threads() : 1;
 }
 
 AnswerCache::Stats QueryEngine::answer_cache_stats() const {
@@ -698,9 +701,8 @@ BatchAnswer QueryEngine::ExecuteOneTraced(const BatchQuery& query,
   }
 
   BatchAnswer answer;
-  // Task-dequeue check: a query whose batch tripped (deadline, token)
-  // while this task sat in the pool queue is answered without running a
-  // single pass.
+  // Claim check: a query whose batch tripped (deadline, token) before a
+  // thread claimed it is answered without running a single pass.
   if (control != nullptr) {
     answer.status = control->CheckNow();
   }
@@ -851,7 +853,7 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
     BatchStats* stats, obs::TraceSession* trace) const {
   const auto arrival = std::chrono::steady_clock::now();
   // ---- Step 1: fail fast. Each of these answers the whole batch
-  // without pinning an epoch or touching the pool.
+  // without pinning an epoch or touching the executor.
   if (request.require_latest &&
       mutators_.load(std::memory_order_acquire) > 0) {
     // Read-your-writes callers prefer failing fast over reading the
@@ -929,10 +931,8 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
           ? static_cast<std::uint64_t>(frozen->num_rows() +
                                        frozen->num_ids())
           : static_cast<std::uint64_t>(pinned.weak().dict().num_objects());
-  // Sample the pool backlog at arrival, exported as a gauge.
-  BacklogGauge().Set(pool_ != nullptr
-                         ? static_cast<std::int64_t>(pool_->queued_tasks())
-                         : 0);
+  // Sample the executor backlog at arrival, exported as a gauge.
+  BacklogGauge().Set(static_cast<std::int64_t>(executor_.unclaimed()));
   const Status admitted =
       Admit(request, per_query_cost * (queries.size() - answer_hits));
   if (!admitted.ok()) {
@@ -954,10 +954,6 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
   obs::TraceSpan batch_span(trace, "batch");
   const auto wall0 = std::chrono::steady_clock::now();
   const double cpu0 = ProcessCpuSeconds();
-  // Pool activity is attributed to this batch at the moment it happens
-  // (task tagging, see ThreadPool::BatchMetricsScope) — concurrent
-  // batches on one pool cannot smear each other's numbers.
-  BatchMetrics pool_metrics;
 
   // ---- Step 3: execution. Per-query QueryControls only exist when the
   // request asked for a serving constraint: an unconstrained run passes
@@ -992,28 +988,16 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
   std::vector<ProjectionStats> projection_stats(queries.size());
   std::vector<EpsilonStats> eps_stats(queries.size());
 
+  // The executor claims the queries in index order: inline on this
+  // thread at threads == 1, beside the workers above it.
   const std::uint64_t epoch_id = epoch->id;
-  if (pool_ == nullptr) {
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      if (cached(i)) continue;
-      answers[i] = ExecuteOne(queries[i], pinned, &projection_stats[i],
-                              &eps_stats[i], frozen, trace, control_of(i),
-                              epoch_id);
-    }
-  } else {
-    ThreadPool::BatchMetricsScope metrics_scope(&pool_metrics);
-    TaskGroup group(pool_.get());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      if (cached(i)) continue;
-      group.Run([this, &queries, &answers, &projection_stats, &eps_stats,
-                 &pinned, &control_of, frozen, trace, epoch_id, i] {
-        answers[i] = ExecuteOne(queries[i], pinned, &projection_stats[i],
-                                &eps_stats[i], frozen, trace, control_of(i),
-                                epoch_id);
-      });
-    }
-    group.Wait();
-  }
+  executor_.Run(queries.size(), [&](std::size_t i) {
+    if (cached(i)) return;
+    answers[i] = ExecuteOne(queries[i], pinned, &projection_stats[i],
+                            &eps_stats[i], frozen, trace, control_of(i),
+                            epoch_id);
+  });
+  const std::size_t evaluated = queries.size() - answer_hits;
 
   // Feed the answer cache while the epoch is still pinned (so the insert
   // cannot race its own DropEpoch): every evaluated query with a
@@ -1095,16 +1079,7 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
     stats->answer_cache_hits = answer_hits;
     stats->answer_cache_misses = answer_misses;
     stats->threads = threads();
-    if (pool_ != nullptr) {
-      // Exact: group.Wait() above quiesced every task of this batch (the
-      // BatchMetrics memory-order contract).
-      stats->tasks = static_cast<std::size_t>(
-          pool_metrics.tasks.load(std::memory_order_relaxed));
-      stats->steal_count = static_cast<std::size_t>(
-          pool_metrics.steals.load(std::memory_order_relaxed));
-      stats->max_queue_depth =
-          pool_metrics.max_queue_depth.load(std::memory_order_relaxed);
-    }
+    stats->tasks = evaluated;
     stats->wall_seconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - wall0)
                               .count();
@@ -1113,10 +1088,7 @@ Result<std::vector<BatchAnswer>> QueryEngine::Run(
   if (batch_span.enabled()) {
     batch_span.Arg("queries", static_cast<std::uint64_t>(queries.size()));
     batch_span.Arg("threads", static_cast<std::uint64_t>(threads()));
-    batch_span.Arg("tasks",
-                   pool_metrics.tasks.load(std::memory_order_relaxed));
-    batch_span.Arg("steals",
-                   pool_metrics.steals.load(std::memory_order_relaxed));
+    batch_span.Arg("tasks", static_cast<std::uint64_t>(evaluated));
   }
   return answers;
 }
@@ -1260,7 +1232,7 @@ Status QueryEngine::MutationGuard::UpdateOpf(ObjectId o,
                                              std::unique_ptr<Opf> opf) {
   // Const structural access: Present() must not trip the conservative
   // structure-version cache flush reserved for real structural surgery.
-  if (!std::as_const(*working_).weak().Present(o)) {
+  if (!working_->weak().Present(o)) {
     return Status::UnknownObject(StrCat("object id ", o, " not present"));
   }
   return working_->SetOpf(o, std::move(opf));
@@ -1269,7 +1241,7 @@ Status QueryEngine::MutationGuard::UpdateOpf(ObjectId o,
 Status QueryEngine::MutationGuard::UpdateVpf(ObjectId o, Vpf vpf) {
   // Const structural access: Present() must not trip the conservative
   // structure-version cache flush reserved for real structural surgery.
-  if (!std::as_const(*working_).weak().Present(o)) {
+  if (!working_->weak().Present(o)) {
     return Status::UnknownObject(StrCat("object id ", o, " not present"));
   }
   return working_->SetVpf(o, std::move(vpf));
@@ -1280,7 +1252,7 @@ Status QueryEngine::MutationGuard::ReplaceSubtree(
   ProbabilisticInstance* target = working_.get();
   // Const structural access throughout: ReplaceSubtree only rewrites ℘,
   // so it must not trip the conservative structure-version flush.
-  const WeakInstance& tw = std::as_const(*target).weak();
+  const WeakInstance& tw = target->weak();
   const WeakInstance& dw = donor.weak();
   if (!tw.Present(at)) {
     return Status::UnknownObject(StrCat("object id ", at, " not present"));

@@ -22,9 +22,9 @@
 #include "obs/trace.h"
 #include "query/answer_cache.h"
 #include "query/point_queries.h"
+#include "util/batch_executor.h"
 #include "util/cancel.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace pxml {
 
@@ -32,9 +32,10 @@ class EpsilonScratchPool;
 
 /// Configuration of a QueryEngine.
 struct BatchOptions {
-  /// Worker threads; 0 picks std::thread::hardware_concurrency(), and 1
-  /// runs the serial path with no pool at all (bit-for-bit the historical
-  /// single-threaded implementation).
+  /// Batch parallelism; 0 picks std::thread::hardware_concurrency().
+  /// Above 1 the engine's BatchExecutor has this many workers, which
+  /// run a batch's queries beside the calling thread; 1 runs every query
+  /// on the calling thread, with no worker at all.
   std::size_t threads = 0;
   /// Epoch-keyed answer cache switch (DESIGN.md §12). With it on, a
   /// query's complete answer — status, probability, projection — is
@@ -151,17 +152,16 @@ struct QueryRequest {
 Status ApplyRequestFlag(std::string_view flag, QueryRequest* request);
 
 /// Per-batch counters, extending the per-projection phase breakdown with
-/// the pool-side numbers (the projection phases accumulate over every
+/// the executor-side numbers (the projection phases accumulate over every
 /// projection query in the batch).
 struct BatchStats : ProjectionStats {
-  /// Worker threads the batch ran on (1 = serial path).
+  /// The engine's BatchOptions::threads (1 = calling thread only).
   std::size_t threads = 1;
-  /// Pool tasks executed on behalf of this batch: one per query that
-  /// missed the answer cache.
+  /// Queries the batch evaluated: one per query that missed the answer
+  /// cache.
   std::size_t tasks = 0;
-  /// Tasks taken from another worker's deque during the batch.
+  /// Always 0 — see EpsilonMemoCache below.
   std::size_t steal_count = 0;
-  /// Deepest any pool queue got while the batch ran.
   std::size_t max_queue_depth = 0;
   /// End-to-end batch latency.
   double wall_seconds = 0.0;
@@ -292,14 +292,17 @@ struct BatchAnswer {
   QueryProfile profile;
 };
 
-/// The retired ε-memo and ε-sharing surface. These six names read zero
-/// and exist only because bench/e2e (the end-to-end benchmark, which
-/// changes only together with its definition in BENCHMARK.json) compiles
-/// against them: EpsilonMemoCache::Stats, QueryEngine::cache_stats(),
-/// QueryEngine::cache_size(), BatchStats::cache_lookups,
-/// BatchStats::cache_hits and BatchStats::shared_queries. The next
-/// benchmark change removes them together with its epsilon_cache.* and
-/// engine.shared_queries_per_batch per-layer metrics.
+/// The retired ε-memo, ε-sharing and work-stealing surface. These eight
+/// names read zero and exist only because bench/e2e (the end-to-end
+/// benchmark, which changes only together with its definition in
+/// BENCHMARK.json) compiles against them: EpsilonMemoCache::Stats,
+/// QueryEngine::cache_stats(), QueryEngine::cache_size(),
+/// BatchStats::cache_lookups, BatchStats::cache_hits,
+/// BatchStats::shared_queries, BatchStats::steal_count and
+/// BatchStats::max_queue_depth. The next benchmark change removes them
+/// together with its epsilon_cache.*, engine.shared_queries_per_batch,
+/// thread_pool.steals_per_batch and thread_pool.max_queue_depth
+/// per-layer metrics.
 struct EpsilonMemoCache {
   struct Stats {
     std::uint64_t invalidated = 0;
@@ -308,7 +311,7 @@ struct EpsilonMemoCache {
 };
 
 /// The unified query facade: owns a probabilistic instance together
-/// with the work-stealing thread pool, and mediates every query and every
+/// with the batch executor, and mediates every query and every
 /// mutation through immutable committed epochs. The engine is the
 /// instance's only writer: every update goes through the mutation API
 /// (UpdateOpf / UpdateVpf / ReplaceSubtree / BeginMutations) and the
@@ -338,10 +341,9 @@ struct EpsilonMemoCache {
 /// corresponds to (QueryProfile::epoch names it). Without serving
 /// controls the work counters (epsilon_recomputed, opf_row_ops,
 /// entries_materialized, pass counts) are schedule-independent too. The
-/// BatchStats numbers that depend on the thread schedule are tasks,
-/// steal_count, max_queue_depth, wall_seconds and cpu_seconds, plus
-/// bytes_allocated (which pooled scratch arena, warm or cold, a query
-/// leases).
+/// BatchStats numbers that depend on the thread schedule are
+/// wall_seconds and cpu_seconds, plus bytes_allocated (which pooled
+/// scratch arena, warm or cold, a query leases).
 class QueryEngine {
  public:
   /// Takes the instance (move it in, or pass a copy).
@@ -352,8 +354,8 @@ class QueryEngine {
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  /// Worker threads actually in use (1 = serial path, no pool).
-  std::size_t threads() const;
+  /// BatchOptions::threads with 0 resolved (1 = calling thread only).
+  std::size_t threads() const { return options_.threads; }
 
   /// The most recently committed instance: it reflects every mutation
   /// scope that has *closed*. The reference is valid until the next
@@ -523,8 +525,8 @@ class QueryEngine {
   /// per-query stats slots (`eps_stats` and `projection_stats` are this
   /// query's private tallies; the caller merges them into the
   /// BatchStats). A non-null `control` makes the query cooperative: it
-  /// is checked once before dispatch (the task-dequeue check — a query
-  /// whose batch tripped while it sat in the pool queue never starts)
+  /// is checked once before dispatch (the claim check — a query whose
+  /// batch tripped before a thread claimed it never starts)
   /// and then charged through every pass.
   BatchAnswer ExecuteOneTraced(const BatchQuery& query,
                                const ProbabilisticInstance& instance,
@@ -534,12 +536,13 @@ class QueryEngine {
                                obs::TraceSession* trace,
                                QueryControl* control) const;
 
-  /// Tail-sampling session pool. A pool, not a thread_local:
-  /// TaskGroup::Wait work-steals, so one OS thread can nest a second
-  /// query's execution mid-query — a bare thread-local buffer would
-  /// interleave two queries' spans. Acquire Resets the session (capacity
-  /// retained), so the steady-state sampling path stops allocating once
-  /// the pool is warm.
+  /// Tail-sampling session pool. A per-engine pool, not a thread_local:
+  /// callers' threads run queries too, so a thread_local would leave a
+  /// warm session on every thread that ever called Run, outliving the
+  /// engine; the pool holds at most as many sessions as queries ran at
+  /// once and frees them with the engine. Acquire Resets the session
+  /// (capacity retained), so the steady-state sampling path stops
+  /// allocating once the pool is warm.
   std::unique_ptr<obs::TraceSession> AcquireTraceSession() const;
   void ReleaseTraceSession(std::unique_ptr<obs::TraceSession> session) const;
 
@@ -575,8 +578,9 @@ class QueryEngine {
   /// ~MutationGuard with the writer lock held).
   void Publish(std::shared_ptr<const ProbabilisticInstance> next);
 
-  BatchOptions options_;
-  std::unique_ptr<ThreadPool> pool_;              // null when threads() == 1
+  BatchOptions options_;  // threads resolved: never 0
+  /// options_.threads workers above 1 thread, none at 1.
+  mutable BatchExecutor executor_;
   std::unique_ptr<EpsilonScratchPool> scratch_pool_;  // null when frozen off
   /// Epoch-keyed answer cache (null when options.answer_cache off).
   /// Declared before head_ so it is destroyed after it: the final

@@ -51,15 +51,15 @@ Status SplitComparison(std::string_view text, std::string_view* lhs,
       StrCat("expected a comparison operator in condition: '", text, "'"));
 }
 
-/// Parses a non-negative integer; fails on trailing garbage.
+/// Parses a count by the XML reader's rule: the whole token is an
+/// unsigned decimal below 2^32.
 Result<std::uint32_t> ParseCount(std::string_view text) {
-  std::string s(StripWhitespace(text));
-  char* end = nullptr;
-  unsigned long v = std::strtoul(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') {
-    return Status::ParseError(StrCat("expected an integer, got '", s, "'"));
+  const std::string_view token = StripWhitespace(text);
+  if (std::optional<std::uint32_t> v = ParseWhole<std::uint32_t>(token)) {
+    return *v;
   }
-  return static_cast<std::uint32_t>(v);
+  return Status::ParseError(StrCat(
+      "expected an unsigned decimal below 2^32, got '", token, "'"));
 }
 
 /// Parses "count(path, label) in [lo,hi]" or "count(path, label) <op> k".
@@ -124,6 +124,10 @@ Result<SelectionCondition> ParseCardinalityCondition(const Dictionary& dict,
         range = IntInterval(k, IntInterval::kUnbounded);
         break;
       case ValueOp::kGt:
+        if (k == IntInterval::kUnbounded) {
+          return Status::ParseError(
+              "count > 4294967295 is unsatisfiable");
+        }
         range = IntInterval(k + 1, IntInterval::kUnbounded);
         break;
       case ValueOp::kNe:

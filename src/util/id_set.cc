@@ -17,6 +17,17 @@ bool IdSet::Contains(value_type id) const {
   return std::binary_search(ids_.begin(), ids_.end(), id);
 }
 
+bool IdSet::Insert(value_type id) {
+  if (ids_.empty() || ids_.back() < id) {
+    ids_.push_back(id);
+    return true;
+  }
+  auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
+  if (*it == id) return false;
+  ids_.insert(it, id);
+  return true;
+}
+
 IdSet IdSet::With(value_type id) const {
   if (Contains(id)) return *this;
   IdSet out;

@@ -41,6 +41,9 @@ class IdSet {
 
   bool Contains(value_type id) const;
 
+  /// Inserts `id` in place; false if it was already present. Appending
+  /// ids in ascending order costs amortized O(1) each.
+  bool Insert(value_type id);
   /// Returns a copy with `id` inserted.
   IdSet With(value_type id) const;
   /// Returns a copy with `id` removed (no-op if absent).

@@ -62,8 +62,8 @@ enum class StatusCode {
   /// Retry with a larger budget or a cheaper query shape.
   kResourceExhausted,
   /// The admission controller shed the batch before any query ran (too
-  /// many in-flight batches, pool backlog over the watermark, or the
-  /// pre-dispatch cost estimate over the cap). Safe to retry later.
+  /// many in-flight batches, or the pre-dispatch cost estimate over the
+  /// cap). Safe to retry later.
   kRejected,
 };
 

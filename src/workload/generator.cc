@@ -31,7 +31,7 @@ Result<ProbabilisticInstance> GenerateBalancedTree(
   }
   Rng rng(config.seed);
   ProbabilisticInstance out;
-  WeakInstance& weak = out.weak();
+  WeakInstance& weak = out.mutable_weak();
   Dictionary& dict = weak.dict();
 
   // Level l uses labels "L<l>_<k>".
@@ -168,7 +168,7 @@ Result<ProbabilisticInstance> GenerateRandomDag(const DagConfig& config) {
   }
   Rng rng(config.seed);
   ProbabilisticInstance out;
-  WeakInstance& weak = out.weak();
+  WeakInstance& weak = out.mutable_weak();
   Dictionary& dict = weak.dict();
 
   std::vector<LabelId> labels;

@@ -18,7 +18,7 @@ void Check(const Status& status) {
 
 Result<ProbabilisticInstance> BuildFigure2(bool fully_typed) {
   ProbabilisticInstance out;
-  WeakInstance& weak = out.weak();
+  WeakInstance& weak = out.mutable_weak();
   Dictionary& dict = weak.dict();
 
   ObjectId r = weak.AddObject("R");

@@ -75,7 +75,7 @@ Result<std::unique_ptr<Opf>> ReadOpf(StructureReader& doc,
 
 Result<ProbabilisticInstance> ParsePxml(std::string_view text) {
   ProbabilisticInstance out;
-  WeakInstance& weak = out.weak();
+  WeakInstance& weak = out.mutable_weak();
   StructureReader doc(text, weak);
   XmlReader& r = doc.reader();
   PXML_RETURN_IF_ERROR(doc.Read("pxml", [&](ObjectId o) -> Status {

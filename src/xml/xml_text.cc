@@ -194,16 +194,6 @@ void AppendUnescaped(std::string& out, std::string_view raw) {
   }
 }
 
-/// All of `text` as a T, read with std::from_chars.
-template <class T>
-std::optional<T> ParseWhole(std::string_view text) {
-  T v{};
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  return v;
-}
-
 }  // namespace
 
 std::string_view XmlReader::ReadName() {

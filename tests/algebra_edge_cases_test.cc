@@ -23,7 +23,7 @@ namespace {
 /// root leaf carrying a two-value VPF.
 ProbabilisticInstance MakeRootOnlyInstance(const std::string& root_name) {
   ProbabilisticInstance out;
-  WeakInstance& weak = out.weak();
+  WeakInstance& weak = out.mutable_weak();
   ObjectId r = weak.AddObject(root_name);
   EXPECT_TRUE(weak.SetRoot(r).ok());
   auto type = weak.dict().DefineType(root_name + "-type",
@@ -67,7 +67,7 @@ TEST(RootOnlyInstanceTest, UnmatchedPathProjectsOntoBareRoot) {
   ProbabilisticInstance inst = MakeRootOnlyInstance("r");
   PathExpression path;
   path.start = inst.weak().root();
-  path.labels.push_back(inst.weak().dict().InternLabel("ghost"));
+  path.labels.push_back(inst.mutable_weak().dict().InternLabel("ghost"));
   ProjectionStats stats;
   auto projected = AncestorProject(inst, path, &stats);
   ASSERT_TRUE(projected.ok()) << projected.status();
@@ -118,7 +118,7 @@ TEST(UnmatchedPathTest, QueriesReturnZeroAndSelectionFails) {
   ObjectId y = *dict_before.FindObject("y");
   PathExpression ghost;
   ghost.start = inst.weak().root();
-  ghost.labels.push_back(inst.weak().dict().InternLabel("ghost"));
+  ghost.labels.push_back(inst.mutable_weak().dict().InternLabel("ghost"));
 
   // Existence and point probabilities of an unmatched path are 0, not
   // an error: the empty pruned layers short-circuit the ε pass.
@@ -180,8 +180,8 @@ TEST(CartesianProductEdgeCaseTest, ProductOfRootOnlyInstances) {
 // an untyped bare root here.
 TEST(CartesianProductEdgeCaseTest, RootOnlyTimesChainMatchesOracle) {
   ProbabilisticInstance left;
-  ObjectId solo = left.weak().AddObject("solo");
-  ASSERT_TRUE(left.weak().SetRoot(solo).ok());
+  ObjectId solo = left.mutable_weak().AddObject("solo");
+  ASSERT_TRUE(left.mutable_weak().SetRoot(solo).ok());
   ProbabilisticInstance right = testing::MakeChainInstance();
   auto product = CartesianProduct(left, right, "top");
   ASSERT_TRUE(product.ok()) << product.status();

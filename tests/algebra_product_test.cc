@@ -19,7 +19,7 @@ using testing::MakeSmallTreeInstance;
 /// A second instance with disjoint names: r2 --c--> z (typed leaf).
 ProbabilisticInstance MakeOtherInstance() {
   ProbabilisticInstance out;
-  WeakInstance& weak = out.weak();
+  WeakInstance& weak = out.mutable_weak();
   ObjectId r2 = weak.AddObject("r2");
   ObjectId z = weak.AddObject("z");
   LabelId c = weak.dict().InternLabel("c");
@@ -101,7 +101,7 @@ TEST(CartesianProductTest, SharedLabelCardinalitiesAdd) {
   for (auto [inst, suffix] :
        {std::pair<ProbabilisticInstance*, const char*>{&left, ""},
         std::pair<ProbabilisticInstance*, const char*>{&right, "_2"}}) {
-    WeakInstance& weak = inst->weak();
+    WeakInstance& weak = inst->mutable_weak();
     ObjectId r = weak.AddObject(std::string("r") + suffix);
     ObjectId c = weak.AddObject(std::string("c") + suffix);
     LabelId item = weak.dict().InternLabel("item");

@@ -1,22 +1,21 @@
-// Thread pool and parallel batch engine tests: work-stealing pool
-// semantics (drain-on-shutdown, exception propagation), the
+// Batch executor and parallel batch engine tests: the executor's
+// exactly-once, exception and concurrent-caller contract, the
 // many-queries/one-instance concurrency hammer, and
 // scheduling-independence of batch results. The whole binary is expected
 // to be clean under TSAN (-DPXML_SANITIZE=thread).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
-#include <memory>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "query/engine.h"
 #include "query/point_queries.h"
+#include "util/batch_executor.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "workload/generator.h"
 #include "workload/query_generator.h"
 #include "xml/writer.h"
@@ -25,135 +24,100 @@ namespace pxml {
 namespace {
 
 // ---------------------------------------------------------------------------
-// ThreadPool
+// BatchExecutor
 
-TEST(ThreadPoolTest, ExecutesEverySubmittedTask) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 1000; ++i) {
-      pool.Submit([&count] { count.fetch_add(1); });
+TEST(BatchExecutorTest, RunsEveryIndexExactlyOnce) {
+  for (std::size_t workers : {0u, 1u, 2u, 4u, 8u}) {
+    BatchExecutor executor(workers);
+    EXPECT_EQ(executor.workers(), workers);
+    for (std::size_t n : {0u, 1u, 7u, 1000u}) {
+      std::vector<std::atomic<int>> hits(n);
+      executor.Run(n, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "index " << i << " of " << n << ", " << workers << " workers";
+      }
+      EXPECT_EQ(executor.unclaimed(), 0u);
     }
-  }  // destructor drains
-  EXPECT_EQ(count.load(), 1000);
+  }
 }
 
-TEST(ThreadPoolTest, ShutdownDrainsPendingTasks) {
-  // Tasks submitted right before destruction must still all run.
-  std::atomic<int> count{0};
-  auto pool = std::make_unique<ThreadPool>(8);
-  for (int i = 0; i < 500; ++i) {
-    pool->Submit([&count, i] {
-      if (i % 7 == 0) {
-        // Spawn follow-up work from inside a worker (own-deque path).
-        // Submitting from a task is safe because the destructor waits
-        // for pending == 0, which includes nested submissions.
+TEST(BatchExecutorTest, WithoutWorkersEveryIndexRunsOnTheCallingThread) {
+  BatchExecutor executor(0);
+  std::vector<std::thread::id> ran_on(100);
+  executor.Run(ran_on.size(), [&ran_on](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  for (const std::thread::id& id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
+TEST(BatchExecutorTest, FirstExceptionReachesCallerAfterEveryIndexRan) {
+  for (std::size_t workers : {0u, 4u}) {
+    BatchExecutor executor(workers);
+    std::atomic<int> ran{0};
+    bool caught = false;
+    try {
+      executor.Run(64, [&ran](std::size_t i) {
+        ran.fetch_add(1);
+        if (i == 7 || i == 40) throw std::runtime_error("boom");
+      });
+    } catch (const std::runtime_error&) {
+      caught = true;
+      EXPECT_EQ(ran.load(), 64) << workers << " workers";
+    }
+    EXPECT_TRUE(caught) << workers << " workers";
+    // The executor stays usable after a job threw.
+    std::atomic<int> after{0};
+    executor.Run(16, [&after](std::size_t) { after.fetch_add(1); });
+    EXPECT_EQ(after.load(), 16) << workers << " workers";
+  }
+}
+
+TEST(BatchExecutorTest, ConcurrentCallersShareTwoWorkers) {
+  // A job lives on its caller's stack, so no worker may touch it after
+  // Run returns: 4 callers churn through short jobs to widen that window
+  // (ASAN/TSAN-visible if a worker did).
+  BatchExecutor executor(2);
+  constexpr int kCallers = 4;
+  constexpr int kJobs = 2000;
+  std::vector<std::uint64_t> totals(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&executor, &totals, c] {
+      for (int j = 0; j < kJobs; ++j) {
+        const std::size_t n = 1 + static_cast<std::size_t>(j % 5);
+        std::atomic<std::uint64_t> sum{0};
+        executor.Run(n, [&sum](std::size_t i) { sum.fetch_add(i + 1); });
+        totals[c] += sum.load();
       }
-      count.fetch_add(1);
     });
   }
-  pool.reset();  // blocks until all 500 ran
-  EXPECT_EQ(count.load(), 500);
+  for (std::thread& t : callers) t.join();
+  // Per caller: sum over jobs of n(n+1)/2 for n = 1..5 cycling.
+  const std::uint64_t expected = (kJobs / 5) * (1 + 3 + 6 + 10 + 15);
+  for (int c = 0; c < kCallers; ++c) EXPECT_EQ(totals[c], expected);
+  EXPECT_EQ(executor.unclaimed(), 0u);
 }
 
-TEST(ThreadPoolTest, NestedSubmissionFromWorkersDrains) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&pool, &count] {
-        pool.Submit([&count] { count.fetch_add(1); });
-        count.fetch_add(1);
-      });
-    }
-  }
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPoolTest, StatsCountTasks) {
-  ThreadPool pool(4);
-  TaskGroup group(&pool);
-  for (int i = 0; i < 64; ++i) group.Run([] {});
-  group.Wait();
-  ThreadPool::Stats s = pool.stats();
-  EXPECT_EQ(s.tasks_executed, 64u);
-  EXPECT_GE(s.max_queue_depth, 1u);
-}
-
-TEST(ThreadPoolTest, ResetMaxQueueDepthScopesHighWaterMark) {
-  ThreadPool pool(2);
-  // Hold both workers hostage so the next submissions pile up in the
-  // injection queue deterministically.
+TEST(BatchExecutorTest, CallerProgressesWhileWorkersAreBusy) {
+  // A caller claims from its own job, so it finishes even while every
+  // worker is stuck in another caller's job.
+  BatchExecutor executor(1);
   std::atomic<bool> release{false};
-  TaskGroup hostages(&pool);
-  for (int i = 0; i < 2; ++i) {
-    hostages.Run([&release] {
+  std::thread blocked([&] {
+    executor.Run(2, [&release](std::size_t) {
       while (!release.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
     });
-  }
-  TaskGroup work(&pool);
-  for (int i = 0; i < 16; ++i) work.Run([] {});
+  });
+  std::atomic<int> count{0};
+  executor.Run(100, [&count](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 100);
   release.store(true, std::memory_order_release);
-  work.Wait();
-  hostages.Wait();
-  EXPECT_GE(pool.stats().max_queue_depth, 16u);
-  EXPECT_GE(pool.ResetMaxQueueDepth(), 16u);
-  EXPECT_EQ(pool.stats().max_queue_depth, 0u);
-  // The mark restarts from zero: one lone submission peaks at depth 1.
-  TaskGroup after(&pool);
-  after.Run([] {});
-  after.Wait();
-  EXPECT_EQ(pool.stats().max_queue_depth, 1u);
-}
-
-TEST(TaskGroupTest, WaitsForAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  TaskGroup group(&pool);
-  for (int i = 0; i < 256; ++i) {
-    group.Run([&count] { count.fetch_add(1); });
-  }
-  group.Wait();
-  EXPECT_EQ(count.load(), 256);
-}
-
-TEST(TaskGroupTest, PropagatesTaskException) {
-  ThreadPool pool(4);
-  TaskGroup group(&pool);
-  for (int i = 0; i < 16; ++i) {
-    group.Run([i] {
-      if (i == 7) throw std::runtime_error("boom");
-    });
-  }
-  EXPECT_THROW(group.Wait(), std::runtime_error);
-  // The pool must remain usable after a task threw.
-  std::atomic<int> count{0};
-  TaskGroup after(&pool);
-  after.Run([&count] { count.fetch_add(1); });
-  after.Wait();
-  EXPECT_EQ(count.load(), 1);
-}
-
-TEST(TaskGroupTest, StackLifetimeChurn) {
-  // Regression: Finish() must do its bookkeeping entirely under the
-  // group mutex, otherwise the waiter can observe pending == 0, return
-  // from Wait(), and destroy the stack group while the last finisher is
-  // still about to lock it (use-after-free, TSAN-visible). Churn through
-  // short-lived stack groups to maximize that window.
-  ThreadPool pool(4);
-  for (int iter = 0; iter < 2000; ++iter) {
-    TaskGroup group(&pool);
-    for (int t = 0; t < 3; ++t) group.Run([] {});
-    group.Wait();
-  }
-}
-
-TEST(TaskGroupTest, InlineWithoutPoolPropagatesException) {
-  TaskGroup group(nullptr);
-  group.Run([] { throw std::logic_error("inline"); });
-  EXPECT_THROW(group.Wait(), std::logic_error);
+  blocked.join();
 }
 
 // ---------------------------------------------------------------------------
@@ -295,7 +259,7 @@ TEST_F(BatchEngineTest, SerialPathUsesNoPool) {
   auto answers = engine.Run(MakeQueries(inst, 10), {}, &stats);
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(stats.threads, 1u);
-  EXPECT_EQ(stats.tasks, 0u);       // no pool tasks on the serial path
+  EXPECT_EQ(stats.tasks, 10u);      // one per evaluated query
   EXPECT_EQ(stats.steal_count, 0u);
 }
 
@@ -352,27 +316,6 @@ TEST_F(BatchEngineTest, PerQueryFailuresDoNotPoisonTheBatch) {
   EXPECT_TRUE((*answers)[0].status.ok());
   EXPECT_FALSE((*answers)[1].status.ok());
   EXPECT_TRUE((*answers)[2].status.ok());
-}
-
-TEST_F(BatchEngineTest, QueueDepthIsScopedPerBatch) {
-  // A reused engine must not report an earlier batch's queue high-water
-  // mark for a later, smaller batch.
-  const ProbabilisticInstance inst = MakeWorkloadInstance();
-  BatchOptions opts;
-  opts.threads = 2;
-  // Task counts are exactly one per query, so the single-query batch can
-  // only ever reach depth 1.
-  QueryEngine engine(inst, Generic(opts));
-
-  BatchStats big;
-  auto a = engine.Run(MakeQueries(inst, 300), {}, &big);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_GE(big.max_queue_depth, 2u);
-
-  BatchStats small;
-  auto b = engine.Run(MakeQueries(inst, 1), {}, &small);
-  ASSERT_TRUE(b.ok()) << b.status();
-  EXPECT_LE(small.max_queue_depth, 1u);
 }
 
 TEST_F(BatchEngineTest, EmptyBatchIsOk) {

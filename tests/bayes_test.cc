@@ -218,7 +218,7 @@ TEST(BayesNetTest, MarginalIsNormalized) {
 
 TEST(BayesNetTest, RejectsInvalidInstances) {
   ProbabilisticInstance inst;
-  WeakInstance& weak = inst.weak();
+  WeakInstance& weak = inst.mutable_weak();
   ObjectId r = weak.AddObject("r");
   ObjectId x = weak.AddObject("x");
   LabelId l = weak.dict().InternLabel("l");

@@ -12,6 +12,7 @@
 #include "core/weak_instance.h"
 #include "fixtures.h"
 #include "graph/algorithms.h"
+#include "query/frozen.h"
 #include "workload/generator.h"
 
 namespace pxml {
@@ -272,7 +273,7 @@ TEST(ProbabilisticInstanceSharingTest, StructuralEditUnsharesWeakInstance) {
     const std::uint64_t structure_version = other.structure_version();
     const WeakInstance* shared = &other.weak();
 
-    WeakInstance& weak = edited.weak();
+    WeakInstance& weak = edited.mutable_weak();
     const ObjectId root = weak.root();
     const ObjectId extra = weak.AddObject("extra");
     const LabelId label = weak.dict().InternLabel("extra_label");
@@ -288,6 +289,25 @@ TEST(ProbabilisticInstanceSharingTest, StructuralEditUnsharesWeakInstance) {
     EXPECT_TRUE(std::as_const(edited).weak().Present(extra));
     EXPECT_EQ(std::as_const(edited).weak().Lch(root, label).size(), 1u);
   }
+}
+
+TEST(ProbabilisticInstanceSharingTest, ReadsThroughMutableCopyChangeNothing) {
+  // A plain read through a non-const instance must neither desync the
+  // snapshots frozen from it nor clone the W it shares.
+  const ProbabilisticInstance source =
+      testing::MakeTreeBibliographicInstance();
+  auto frozen = FrozenInstance::Freeze(source);
+  ASSERT_TRUE(frozen.ok()) << frozen.status();
+  ProbabilisticInstance copy = source;
+  ASSERT_TRUE(frozen->InSyncWith(copy));
+
+  const ObjectId root = copy.weak().root();
+  EXPECT_EQ(copy.dict().ObjectName(root), "R");
+  EXPECT_EQ(copy.weak().num_objects(), source.weak().num_objects());
+
+  EXPECT_TRUE(frozen->InSyncWith(copy));
+  EXPECT_EQ(&copy.weak(), &source.weak());
+  EXPECT_EQ(&copy.dict(), &source.dict());
 }
 
 TEST(ProbabilisticInstanceSharingTest, SetOnCopyLeavesSourceTablesUnchanged) {
@@ -335,7 +355,7 @@ TEST(ProbabilisticInstanceSharingTest, SetOnCopyLeavesSourceTablesUnchanged) {
 
   // Past the table's end: grow the copy's W until an object lands beyond
   // every allocated chunk, then install ℘ there.
-  WeakInstance& weak = copy.weak();
+  WeakInstance& weak = copy.mutable_weak();
   ObjectId far = kInvalidId;
   for (int i = 0; far == kInvalidId || far < 4 * kChunk; ++i) {
     far = weak.AddObject("grown" + std::to_string(i));
@@ -366,8 +386,8 @@ TEST(ProbabilisticInstanceSharingTest, MovedFromInstanceIsValidAndEmpty) {
   EXPECT_FALSE(source.SetOpf(root, std::make_unique<IndependentOpf>()).ok());
 
   // …and it builds up again like a default-constructed one.
-  const ObjectId r = source.weak().AddObject("r");
-  ASSERT_TRUE(source.weak().SetRoot(r).ok());
+  const ObjectId r = source.mutable_weak().AddObject("r");
+  ASSERT_TRUE(source.mutable_weak().SetRoot(r).ok());
   ASSERT_TRUE(source.SetVpf(r, TwoPointVpf(0.5)).ok());
   EXPECT_NE(source.GetVpf(r), nullptr);
   EXPECT_EQ(empty.weak().num_objects(), 1u);
@@ -417,7 +437,7 @@ TEST(ProbabilisticInstanceSharingTest, ReadersRaceCopyEditAndDrop) {
   }
   for (int i = 0; i < 20; ++i) {
     ProbabilisticInstance copy = source;
-    WeakInstance& weak = copy.weak();
+    WeakInstance& weak = copy.mutable_weak();
     const ObjectId extra = weak.AddObject("extra");
     // EXPECT, not ASSERT: an early return would skip the joins below.
     EXPECT_TRUE(
@@ -475,7 +495,7 @@ TEST(ValidationTest, DetectsSupportOutsidePC) {
 
 TEST(ValidationTest, DetectsMissingOpf) {
   ProbabilisticInstance inst;
-  WeakInstance& weak = inst.weak();
+  WeakInstance& weak = inst.mutable_weak();
   ObjectId r = weak.AddObject("r");
   ObjectId x = weak.AddObject("x");
   LabelId l = weak.dict().InternLabel("l");
@@ -489,7 +509,7 @@ TEST(ValidationTest, DetectsMissingOpf) {
 
 TEST(ValidationTest, DetectsOverlappingLchFamilies) {
   ProbabilisticInstance inst;
-  WeakInstance& weak = inst.weak();
+  WeakInstance& weak = inst.mutable_weak();
   ObjectId r = weak.AddObject("r");
   ObjectId x = weak.AddObject("x");
   LabelId a = weak.dict().InternLabel("a");
@@ -502,7 +522,7 @@ TEST(ValidationTest, DetectsOverlappingLchFamilies) {
 
 TEST(ValidationTest, DetectsUnsatisfiableCard) {
   ProbabilisticInstance inst;
-  WeakInstance& weak = inst.weak();
+  WeakInstance& weak = inst.mutable_weak();
   ObjectId r = weak.AddObject("r");
   ObjectId x = weak.AddObject("x");
   LabelId l = weak.dict().InternLabel("l");
@@ -514,7 +534,7 @@ TEST(ValidationTest, DetectsUnsatisfiableCard) {
 
 TEST(ValidationTest, DetectsCycle) {
   ProbabilisticInstance inst;
-  WeakInstance& weak = inst.weak();
+  WeakInstance& weak = inst.mutable_weak();
   ObjectId a = weak.AddObject("a");
   ObjectId b = weak.AddObject("b");
   LabelId l = weak.dict().InternLabel("l");

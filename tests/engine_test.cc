@@ -43,7 +43,7 @@ ProbabilisticInstance MakeUniformTree(std::uint32_t depth,
                                       std::uint32_t branching,
                                       std::uint64_t seed) {
   ProbabilisticInstance inst;
-  WeakInstance& weak = inst.weak();
+  WeakInstance& weak = inst.mutable_weak();
   const LabelId c = weak.dict().InternLabel("c");
   auto type = weak.dict().DefineType("t", {Value("v0"), Value("v1")});
   EXPECT_TRUE(type.ok());
@@ -338,7 +338,7 @@ TEST(QueryEngineTest, UpdateOutsideQueriedPathLeavesAnswerUnchanged) {
   // Two sibling subtrees under the root, reached by different labels;
   // the query descends into A, the update lands in B.
   ProbabilisticInstance inst;
-  WeakInstance& weak = inst.weak();
+  WeakInstance& weak = inst.mutable_weak();
   const LabelId a = weak.dict().InternLabel("a");
   const LabelId b = weak.dict().InternLabel("b");
   const ObjectId root = weak.AddObject("root");
@@ -600,7 +600,7 @@ TEST(QueryEngineTest, MutationErrorsUseTheTaxonomy) {
   // kNotATree by the ε path.
   ProbabilisticInstance dag;
   {
-    WeakInstance& w = dag.weak();
+    WeakInstance& w = dag.mutable_weak();
     const LabelId la = w.dict().InternLabel("a");
     const LabelId lb = w.dict().InternLabel("b");
     const ObjectId r = w.AddObject("r");

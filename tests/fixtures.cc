@@ -19,7 +19,7 @@ void Check(const Status& status) {
 
 ProbabilisticInstance MakeBibCore(bool fully_typed) {
   ProbabilisticInstance out;
-  WeakInstance& weak = out.weak();
+  WeakInstance& weak = out.mutable_weak();
   Dictionary& dict = weak.dict();
 
   ObjectId r = weak.AddObject("R");
@@ -166,7 +166,7 @@ ProbabilisticInstance MakeFullyTypedBibliographicInstance() {
 
 ProbabilisticInstance MakeSmallTreeInstance() {
   ProbabilisticInstance out;
-  WeakInstance& weak = out.weak();
+  WeakInstance& weak = out.mutable_weak();
   Dictionary& dict = weak.dict();
 
   ObjectId r = weak.AddObject("r");
@@ -213,7 +213,7 @@ ProbabilisticInstance MakeSmallTreeInstance() {
 
 ProbabilisticInstance MakeChainInstance() {
   ProbabilisticInstance out;
-  WeakInstance& weak = out.weak();
+  WeakInstance& weak = out.mutable_weak();
   Dictionary& dict = weak.dict();
   ObjectId r = weak.AddObject("r");
   ObjectId x = weak.AddObject("x");
@@ -247,7 +247,7 @@ ProbabilisticInstance MakeChainInstance() {
 
 ProbabilisticInstance MakeTreeBibliographicInstance() {
   ProbabilisticInstance out;
-  WeakInstance& weak = out.weak();
+  WeakInstance& weak = out.mutable_weak();
   Dictionary& dict = weak.dict();
 
   ObjectId r = weak.AddObject("R");

@@ -137,7 +137,7 @@ TEST(FrozenKernelTest, EpsilonPerLabelWithinToleranceAndMatchesWorlds) {
 ///   c2   --b--> g3, --x--> g4   (per-label product; x is off-path)
 ProbabilisticInstance BuildMixedInstance() {
   ProbabilisticInstance built;
-  WeakInstance& weak = built.weak();
+  WeakInstance& weak = built.mutable_weak();
   const LabelId a = weak.dict().InternLabel("a");
   const LabelId b = weak.dict().InternLabel("b");
   const LabelId x = weak.dict().InternLabel("x");
@@ -437,7 +437,7 @@ TEST(FrozenKernelTest, FreezeRejectsNonTreeInstances) {
   // tree-shaped contract. Freeze must refuse (queries then silently use
   // the generic interpreter).
   ProbabilisticInstance built;
-  WeakInstance& weak = built.weak();
+  WeakInstance& weak = built.mutable_weak();
   const LabelId a = weak.dict().InternLabel("a");
   const ObjectId root = weak.AddObject("root");
   ASSERT_TRUE(weak.SetRoot(root).ok());

@@ -34,7 +34,7 @@ Result<double> ExistsP(const QueryEngine& engine, const PathExpression& path,
 
 ProbabilisticInstance MakeChain(std::uint32_t depth, std::uint64_t seed) {
   ProbabilisticInstance inst;
-  WeakInstance& weak = inst.weak();
+  WeakInstance& weak = inst.mutable_weak();
   const LabelId c = weak.dict().InternLabel("c");
   Rng rng(seed);
   ObjectId parent = weak.AddObject("n0");

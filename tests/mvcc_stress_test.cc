@@ -43,7 +43,7 @@ ProbabilisticInstance MakeUniformTree(std::uint32_t depth,
                                       std::uint32_t branching,
                                       std::uint64_t seed) {
   ProbabilisticInstance inst;
-  WeakInstance& weak = inst.weak();
+  WeakInstance& weak = inst.mutable_weak();
   const LabelId c = weak.dict().InternLabel("c");
   auto type = weak.dict().DefineType("t", {Value("v0"), Value("v1")});
   EXPECT_TRUE(type.ok());

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "core/semantics.h"
 #include "fixtures.h"
 #include "query/parser.h"
 #include "query/point_queries.h"
+#include "util/rng.h"
 
 namespace pxml {
 namespace {
@@ -222,6 +227,108 @@ TEST(ParserTest, QueryToStringRoundTrips) {
     ASSERT_TRUE(q.ok()) << text;
     EXPECT_EQ(q->ToString(dict), text);
   }
+}
+
+TEST(ParserTest, CountsMustBeUnsignedDecimalsBelow2To32) {
+  // Counts follow the XML reader's rule: the whole token is an unsigned
+  // decimal below 2^32, so no sign, no wrap-around and no k + 1 overflow.
+  ProbabilisticInstance inst = MakeBibliographicInstance();
+  const Dictionary& dict = inst.dict();
+  for (const char* text :
+       {"count(R, book) = 4294967296", "count(R, book) = 99999999999",
+        "count(R, book) = -1", "count(R, book) = +1",
+        "count(R, book) <= 4294967297", "count(R, book) in [0, 4294967296]",
+        "count(R, book) in [-1, 2]", "count(R, book) > 4294967295",
+        "count(R, book) = 2x", "count(R, book) = 0x2"}) {
+    auto cond = ParseSelectionCondition(dict, text);
+    ASSERT_FALSE(cond.ok())
+        << text << " parsed as " << cond->count_range.ToString();
+    EXPECT_EQ(cond.status().code(), StatusCode::kParseError) << text;
+  }
+  // The largest count still parses, and comparisons next to it keep
+  // their meaning.
+  auto ge = ParseSelectionCondition(dict, "count(R, book) > 4294967294");
+  ASSERT_TRUE(ge.ok()) << ge.status();
+  EXPECT_EQ(ge->count_range,
+            IntInterval(IntInterval::kUnbounded, IntInterval::kUnbounded));
+  auto in = ParseSelectionCondition(dict, "count(R, book) in [ 2 , 3 ]");
+  ASSERT_TRUE(in.ok()) << in.status();
+  EXPECT_EQ(in->count_range, IntInterval(2, 3));
+}
+
+TEST(ParserTest, SeededMutationsNeverCrash) {
+  // Hostile query text: seeded inserts, deletes, duplications,
+  // replacements with query punctuation and truncations of valid queries
+  // of every Query::Kind. Each must come back as a Result, ok or not,
+  // never as a crash or a sanitizer report.
+  ProbabilisticInstance inst = MakeBibliographicInstance();
+  const Dictionary& dict = inst.dict();
+  const std::vector<std::string> valid = {
+      "project R.book.author",
+      "project descendant R.book",
+      "project single R.book.author",
+      "select R.book = B1",
+      "select val(R.book.title) = \"VQDB\"",
+      "select count(R.book, author) in [1, 2]",
+      "prob R.book = B1",
+      "prob exists R.book.title",
+      "prob val(R.book.title) != \"Lore\"",
+      "prob count(R.book, author) >= 1",
+      "prob count(R, book) < 3",
+      "dist R.book.author",
+  };
+  std::set<Query::Kind> kinds;
+  for (const std::string& text : valid) {
+    auto q = ParseQuery(dict, text);
+    ASSERT_TRUE(q.ok()) << text << ": " << q.status();
+    kinds.insert(q->kind);
+  }
+  ASSERT_EQ(kinds.size(), 9u);  // every Query::Kind
+
+  Rng rng(0x9a45e);
+  const auto mutate = [&rng](std::string text) {
+    const std::size_t at = rng.NextBounded(text.size() + 1);
+    const std::size_t span = 1 + rng.NextBounded(8);
+    switch (rng.NextBounded(5)) {
+      case 0:  // insert random bytes
+        for (std::size_t i = 0; i < span; ++i) {
+          text.insert(text.begin() + at,
+                      static_cast<char>(rng.NextBounded(256)));
+        }
+        break;
+      case 1:  // delete a span
+        text.erase(at, span);
+        break;
+      case 2:  // duplicate a span
+        text.insert(at, text.substr(at, span));
+        break;
+      case 3:  // replace one byte with query punctuation or a digit
+        if (at < text.size()) {
+          text[at] = "().,[]=<>!*\" -0123456789"[rng.NextBounded(24)];
+        }
+        break;
+      default:  // truncate
+        text.resize(at);
+    }
+    return text;
+  };
+  constexpr int kMutations = 12000;
+  int accepted = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    std::string text = valid[static_cast<std::size_t>(i) % valid.size()];
+    for (std::uint64_t k = 1 + rng.NextBounded(3); k > 0; --k) {
+      text = mutate(std::move(text));
+    }
+    Result<Query> q = ParseQuery(dict, text);
+    if (q.ok()) {
+      ++accepted;
+      EXPECT_FALSE(q->ToString(dict).empty()) << text;
+    }
+  }
+  // Some mutations keep a valid query (a duplicated space, a digit for a
+  // digit); most break it.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kMutations);
 }
 
 // --------------------------------------------------------------- execution

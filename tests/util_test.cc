@@ -106,6 +106,17 @@ TEST(IdSetTest, MembershipAndWithWithout) {
   EXPECT_EQ(s.Without(99), s);  // removing absent id is a no-op
 }
 
+TEST(IdSetTest, InsertKeepsTheSetCanonical) {
+  IdSet s;
+  EXPECT_TRUE(s.Insert(5));
+  EXPECT_TRUE(s.Insert(9));   // appended
+  EXPECT_TRUE(s.Insert(1));   // inserted in front
+  EXPECT_TRUE(s.Insert(7));   // inserted in the middle
+  EXPECT_FALSE(s.Insert(7));  // already present
+  EXPECT_FALSE(s.Insert(9));
+  EXPECT_EQ(s, IdSet({1, 5, 7, 9}));
+}
+
 TEST(IdSetTest, SetAlgebra) {
   IdSet a{1, 2, 3};
   IdSet b{3, 4};

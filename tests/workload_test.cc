@@ -177,8 +177,8 @@ TEST(QueryGeneratorTest, SelectionTargetsSatisfyThePath) {
 
 TEST(QueryGeneratorTest, FailsOnEdgelessInstance) {
   ProbabilisticInstance inst;
-  inst.weak().AddObject("r");
-  ASSERT_TRUE(inst.weak().SetRoot(*inst.dict().FindObject("r")).ok());
+  inst.mutable_weak().AddObject("r");
+  ASSERT_TRUE(inst.mutable_weak().SetRoot(*inst.dict().FindObject("r")).ok());
   Rng rng(1);
   EXPECT_FALSE(GenerateAcceptedPath(inst, rng).ok());
 }
